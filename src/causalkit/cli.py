@@ -259,7 +259,8 @@ def _cmd_ate(args, scheme):
 
 def _apply_config(parser, argv):
     # Flags override config values, so config supplies parser defaults only.
-    if argv and "--config" in argv:
+    # A trailing --config has no value; parse_args reports that usage error.
+    if "--config" in argv[:-1]:
         path = argv[argv.index("--config") + 1]
         config = json.loads(Path(path).read_text())
         parser.set_defaults(**config)

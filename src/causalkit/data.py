@@ -127,6 +127,11 @@ def load_csv(
     for raw in reader:
         if not raw:
             continue
+        if len(raw) < len(header):
+            raise SchemaMismatch(
+                f"line {reader.line_num}: {len(raw)} fields, "
+                f"header has {len(header)}"
+            )
         row = []
         ok = True
         for name in scheme.names:

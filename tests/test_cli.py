@@ -39,6 +39,25 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_short_csv_row_is_2(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        short.write_text(",".join(nsclc.SCHEME.names) + "\n" + "x,y\n")
+        out = tmp_path / "out.csv"
+        code = dispatch(["ingest", "--csv", str(short), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:")
+        assert "Traceback" not in err
+
+    def test_config_without_value_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = dispatch(["cohort", "--n", "10", "--out", str(out), "--config"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "--config" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCohort:
     def test_writes_csv_with_default_size(self, tmp_path, capsys):

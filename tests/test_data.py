@@ -53,6 +53,10 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatch):
             load_csv("A\nlo\n", AB)
 
+    def test_short_row_rejected_with_line_number(self):
+        with pytest.raises(SchemaMismatch, match="line 3"):
+            load_csv("A,B\nlo,x\nhi\n", AB)
+
     def test_unmapped_label_rejected(self):
         with pytest.raises(SchemaMismatch):
             load_csv("A,B\nmid,x\n", AB)

@@ -1,11 +1,18 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalkit
 from causalkit.data import CategoricalDataset
 from causalkit.errors import InsufficientData
-from causalkit.graph import Dag, Pdag
+from causalkit.graph import Dag, Pdag, VariableScheme
 from causalkit.pc import (
     SepsetMap,
     ci_test_g2,
@@ -97,6 +104,50 @@ def random_dag(scheme, rng, density=0.4):
             if rng.random() < density:
                 dag = dag.add(int(perm[i]), int(perm[j]))
     return dag
+
+
+def loop_ci_test(data, x, y, cond=(), test="g2"):
+    """Reference CI test: one (x, y) table and one reduction per stratum."""
+    from scipy.stats import chi2
+
+    cards = data.scheme.cardinalities()
+    rows = np.asarray(data.rows)
+    stat, strata = 0.0, 0
+    configs = np.zeros(data.n, dtype=np.int64)
+    for c in cond:
+        configs = configs * cards[c] + rows[:, c]
+    for config in np.unique(configs):
+        sub = rows[configs == config]
+        table = np.zeros((cards[x], cards[y]))
+        np.add.at(table, (sub[:, x], sub[:, y]), 1)
+        expected = table.sum(axis=1, keepdims=True) * table.sum(axis=0) / len(sub)
+        if test == "g2":
+            mask = table > 0
+            stat += 2.0 * np.sum(table[mask] * np.log(table[mask] / expected[mask]))
+        else:
+            mask = expected > 0
+            stat += np.sum((table[mask] - expected[mask]) ** 2 / expected[mask])
+        strata += 1
+    dof = (cards[x] - 1) * (cards[y] - 1) * strata
+    return stat, (chi2.sf(stat, dof) if dof > 0 else 1.0), dof
+
+
+def random_cohort(seed):
+    """Small cohort of 3-6 variables with 2-4 states, the last one constant
+    for every third seed, so that many conditioning strata are empty."""
+    rng = np.random.default_rng(seed)
+    cards = rng.integers(2, 5, size=int(rng.integers(3, 7)))
+    scheme = VariableScheme.of(
+        (f"V{i}", tuple(str(s) for s in range(card)))
+        for i, card in enumerate(cards)
+    )
+    n = int(rng.integers(20, 400))
+    rows = np.column_stack([rng.integers(0, card, size=n) for card in cards])
+    # Make one column depend on another so that some tests reject.
+    rows[:, 1] = np.where(rng.random(n) < 0.6, rows[:, 0] % cards[1], rows[:, 1])
+    if seed % 3 == 0:
+        rows[:, -1] = 0
+    return CategoricalDataset(scheme, rows), rng
 
 
 CHAIN = ("X0", "X1"), ("X1", "X2")
@@ -195,6 +246,46 @@ class TestCiTest:
             ci_test_g2(data, 0, 1)
 
 
+class TestVectorisedCiTest:
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("test", ["g2", "chi2"])
+    def test_matches_per_stratum_loop(self, seed, test):
+        data, rng = random_cohort(seed)
+        n_vars = len(data.scheme)
+        for _ in range(10):
+            x, y = (int(v) for v in rng.choice(n_vars, size=2, replace=False))
+            others = [v for v in range(n_vars) if v not in (x, y)]
+            size = int(rng.integers(0, min(4, len(others)) + 1))
+            cond = tuple(int(v) for v in rng.permutation(others)[:size])
+            stat, p, dof = ci_test_g2(data, x, y, cond, test=test)
+            ref_stat, ref_p, ref_dof = loop_ci_test(data, x, y, cond, test=test)
+            assert stat == pytest.approx(ref_stat, rel=1e-9, abs=1e-12)
+            assert dof == ref_dof
+            for alpha in (0.01, 0.05):
+                assert (p > alpha) == (ref_p > alpha)
+            assert p == pytest.approx(ref_p, rel=1e-6, abs=1e-12)
+
+    def test_p_value_is_chi2_survival(self):
+        from scipy.stats import chi2
+
+        data = sample_from_network(strong_chain_net(), 2_000, 3)
+        for x, y, cond in ((0, 2, ()), (0, 2, (1,)), (0, 1, (2,)), (1, 2, ())):
+            stat, p, dof = ci_test_g2(data, x, y, cond)
+            assert p == chi2.sf(stat, dof)
+
+    def test_importing_pc_does_not_import_scipy_stats(self):
+        src = str(Path(causalkit.__file__).resolve().parents[1])
+        code = "import sys, causalkit.pc; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
+
+
 class TestSkeleton:
     def test_oracle_chain(self):
         dag = Dag.from_names(binary_scheme(3), CHAIN)
@@ -237,7 +328,7 @@ class TestOrientation:
         out = orient_v_structures(skeleton, sepsets)
         assert out.directed == {(0, 2), (1, 2)}
 
-    def test_conflict_left_undirected(self):
+    def test_conflict_left_undirected(self, caplog):
         # Manufactured conflicting sepsets around a triangle-free square.
         scheme = binary_scheme(4)
         skeleton = Pdag.from_names(
@@ -247,10 +338,14 @@ class TestOrientation:
         sepsets = SepsetMap()
         sepsets.put(0, 2, ())
         sepsets.put(1, 3, ())
-        out = orient_v_structures(skeleton, sepsets)
+        with caplog.at_level(logging.WARNING, logger="causalkit.pc"):
+            out = orient_v_structures(skeleton, sepsets)
         # Every edge receives both orientations, so all stay undirected.
         assert out.directed == frozenset()
         assert len(out.undirected) == 4
+        # One warning per conflicting edge, not one per direction.
+        warned = [frozenset(r.args) for r in caplog.records]
+        assert sorted(map(sorted, warned)) == sorted(map(sorted, out.undirected))
 
 
 class TestMeekRules:
