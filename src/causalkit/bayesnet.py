@@ -1,13 +1,16 @@
 """Bayesian-network parameterization and exact inference.
 
-Factors carry an ordered variable-index scope and a dense value table with
-one axis per scope variable.  variable_elimination is the production path;
+A Factor is a dense table with one axis per variable of an ordered
+variable-index scope.  variable_elimination is the production path: bucket
+elimination in which every multiply-and-sum step is one np.einsum call.
 brute_force_query enumerates the full joint and exists as its oracle.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,84 +143,16 @@ def cpd_to_factor(net: BayesianNetwork, name: str) -> Factor:
     return Factor(scheme, scope, cpd.table.reshape(shape))
 
 
-def factor_product(a: Factor, b: Factor) -> Factor:
-    """Pointwise product on aligned assignments; scope is the ordered union."""
-    if a.scheme != b.scheme:
-        raise CardinalityMismatch("factors built over different schemes")
-    scope = tuple(sorted(set(a.variables) | set(b.variables)))
-    va = _broadcast(a, scope)
-    vb = _broadcast(b, scope)
-    return Factor(a.scheme, scope, va * vb)
-
-
-def _broadcast(f: Factor, scope: tuple[int, ...]) -> np.ndarray:
-    # Permute f's axes into scope order, then insert singleton axes.
-    order = sorted(range(len(f.variables)), key=lambda i: scope.index(f.variables[i]))
-    values = np.transpose(f.values, order)
-    shape = [
-        f.scheme.cardinality(v) if v in f.variables else 1 for v in scope
-    ]
-    return values.reshape(shape)
-
-
-def factor_marginalize(f: Factor, out) -> Factor:
-    """Sum out one variable; total mass is preserved."""
-    idx = f.scheme.index(out) if isinstance(out, str) else out
-    if idx not in f.variables:
-        raise UnknownVariable(f"variable {out!r} not in factor scope")
-    axis = f.variables.index(idx)
-    scope = tuple(v for v in f.variables if v != idx)
-    return Factor(f.scheme, scope, f.values.sum(axis=axis))
-
-
-def factor_reduce(f: Factor, variable: int, state: int) -> Factor:
-    """Slice the factor at variable=state and drop it from the scope."""
-    axis = f.variables.index(variable)
-    scope = tuple(v for v in f.variables if v != variable)
-    return Factor(f.scheme, scope, np.take(f.values, state, axis=axis))
-
-
-def _unit_factor(scheme: VariableScheme) -> Factor:
-    return Factor(scheme, (), np.array(1.0))
-
-
-def _min_fill_order(scopes: list[set[int]], to_eliminate: set[int]) -> list[int]:
-    """Min-fill elimination ordering with variable-index tie-break."""
-    adjacency: dict[int, set[int]] = {}
-    for scope in scopes:
-        for v in scope:
-            adjacency.setdefault(v, set()).update(scope - {v})
-    remaining = set(to_eliminate)
-    order = []
-    while remaining:
-        best, best_fill = None, None
-        for v in sorted(remaining):
-            neighbors = adjacency.get(v, set()) - {v}
-            fill = sum(
-                1
-                for a in neighbors
-                for b in neighbors
-                if a < b and b not in adjacency.get(a, set())
-            )
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        order.append(best)
-        remaining.discard(best)
-        neighbors = adjacency.get(best, set()) - {best}
-        for a in neighbors:
-            adjacency.setdefault(a, set()).update(neighbors - {a})
-            adjacency[a].discard(best)
-        adjacency.pop(best, None)
-    return order
-
-
 def variable_elimination(
-    net: BayesianNetwork,
-    query,
-    evidence: dict | None = None,
-    order: list[int] | None = None,
+    net: BayesianNetwork, query, evidence: dict | None = None
 ) -> Factor:
-    """Normalized posterior P(query | evidence) by sum-product elimination."""
+    """Normalized posterior P(query | evidence) by bucket elimination.
+
+    Each CPD becomes a (scope, table) pair with the evidence sliced out.  The
+    variable eliminated next has the bucket product with the fewest cells
+    (lower index on ties); its bucket is multiplied two tables at a time and
+    the variable summed out in the last product.
+    """
     scheme = net.scheme
     query_idx = tuple(
         scheme.index(q) if isinstance(q, str) else q for q in query
@@ -226,47 +161,52 @@ def variable_elimination(
     if set(query_idx) & set(ev):
         raise ValueError("query and evidence overlap")
 
-    factors = [cpd_to_factor(net, name) for name in scheme.names]
-    reduced = []
-    for f in factors:
-        for var, state in ev.items():
-            if var in f.variables:
-                f = factor_reduce(f, var, state)
-        reduced.append(f)
+    cards = scheme.cardinalities()
+    tables = []
+    for name in scheme.names:
+        f = cpd_to_factor(net, name)
+        index = tuple(ev.get(v, slice(None)) for v in f.variables)
+        scope = tuple(v for v in f.variables if v not in ev)
+        tables.append((scope, f.values[index]))
 
-    keep = set(query_idx)
-    to_eliminate = {
-        v for f in reduced for v in f.variables if v not in keep
-    }
-    if order is None:
-        order = _min_fill_order([set(f.variables) for f in reduced], to_eliminate)
-    else:
-        order = [v for v in order if v in to_eliminate]
+    def bucket_cells(var):
+        joint = _union([t for t in tables if var in t[0]])
+        return math.prod(cards[v] for v in joint), var
 
-    factors = reduced
-    for var in order:
-        bucket = [f for f in factors if var in f.variables]
-        rest = [f for f in factors if var not in f.variables]
-        if not bucket:
-            continue
-        product = bucket[0]
-        for f in bucket[1:]:
-            product = factor_product(product, f)
-        factors = rest + [factor_marginalize(product, var)]
+    while remaining := set(_union(tables)) - set(query_idx):
+        var = min(remaining, key=bucket_cells)
+        bucket = [t for t in tables if var in t[0]]
+        tables = [t for t in tables if var not in t[0]]
+        product, *others = bucket
+        for table in others[:-1]:
+            product = _einsum([product, table], _union([product, table]))
+        last = [product, *others[-1:]]
+        tables.append(_einsum(last, _union(last, drop=var)))
 
-    result = _unit_factor(scheme)
-    for f in factors:
-        result = factor_product(result, f)
-    # Reorder scope to the requested query order.
-    if result.variables:
-        perm = [result.variables.index(q) for q in query_idx]
-        values = np.transpose(result.values, perm)
-    else:
-        values = result.values
+    _, values = _einsum(tables, query_idx)
     total = values.sum()
     if total <= 0:
         raise ZeroEvidenceProbability("evidence has probability zero")
     return Factor(scheme, query_idx, values / total)
+
+
+def _union(tables, drop=None) -> tuple[int, ...]:
+    return tuple(sorted({v for scope, _ in tables for v in scope} - {drop}))
+
+
+def _einsum(tables, out: tuple[int, ...]):
+    """Multiply labelled tables and sum out every variable not in `out`.
+
+    Letters are assigned per call, so one step may span at most 52 distinct
+    variables -- a table that large could not be held anyway.
+    """
+    letter: dict[int, str] = {}
+    for scope, _ in tables:
+        for v in scope:
+            letter.setdefault(v, string.ascii_letters[len(letter)])
+    spec = ",".join("".join(letter[v] for v in scope) for scope, _ in tables)
+    spec += "->" + "".join(letter[v] for v in out)
+    return out, np.einsum(spec, *(values for _, values in tables))
 
 
 def brute_force_query(

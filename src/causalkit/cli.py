@@ -23,26 +23,42 @@ from .scoring import bdeu_total, score_table
 from .synth import CohortSpec, generate_cohort, sample_from_network
 
 
+def _read(path, parse):
+    """parse(text of the file at path); a file that cannot be read or
+    decoded is a data error that names the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise ToolkitError(f"{path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ToolkitError(f"{path}: {exc}") from None
+
+
 def _load_scheme(path) -> VariableScheme:
     if path is None:
         return nsclc.SCHEME
-    payload = json.loads(Path(path).read_text())
+    payload = _read(path, json.loads)
     return VariableScheme.of(
         (v["name"], v["states"]) for v in payload["variables"]
     )
 
 
 def _load_dataset(path, scheme):
-    with open(path, "rb") as fh:
-        dataset, dropped = load_csv(fh, scheme, DiscretizationSpec.default())
+    dataset, dropped = _read(
+        path, lambda text: load_csv(text, scheme, DiscretizationSpec.default())
+    )
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)
     return dataset
 
 
 def _load_graph(path, scheme):
-    graph = parse_graph_json(Path(path).read_text(), scheme)
-    return graph
+    return _read(path, lambda text: parse_graph_json(text, scheme))
+
+
+def _load_network(path) -> BayesianNetwork:
+    return _read(path, BayesianNetwork.from_json)
 
 
 def _write(path, text):
@@ -244,7 +260,7 @@ def _cmd_score(args, scheme):
 
 def _cmd_ate(args, scheme):
     if args.network:
-        net = BayesianNetwork.from_json(Path(args.network).read_text())
+        net = _load_network(args.network)
     else:
         if not (args.graph and args.data):
             raise ToolkitError("ate needs --network or --graph plus --data")
@@ -259,11 +275,13 @@ def _cmd_ate(args, scheme):
 
 def _apply_config(parser, argv):
     # Flags override config values, so config supplies parser defaults only.
-    # A trailing --config has no value; parse_args reports that usage error.
-    if "--config" in argv[:-1]:
-        path = argv[argv.index("--config") + 1]
-        config = json.loads(Path(path).read_text())
-        parser.set_defaults(**config)
+    # The pre-parser reads both `--config PATH` and `--config=PATH`; a
+    # trailing --config with no value is a usage error it reports itself.
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is not None:
+        parser.set_defaults(**_read(path, json.loads))
 
 
 def dispatch(argv=None) -> int:
@@ -275,6 +293,9 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
+    except ToolkitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # Global flags keep SUPPRESS defaults so the subparser pass cannot
     # clobber a value given before the subcommand; fill fallbacks here.
     for name, fallback in (("config", None), ("seed", 0), ("scheme", None)):
@@ -292,7 +313,7 @@ def dispatch(argv=None) -> int:
             spec = CohortSpec.nsclc_default(args.n, args.seed)
             _write(args.out, write_csv(generate_cohort(spec, scheme)))
         elif args.command == "sample":
-            net = BayesianNetwork.from_json(Path(args.network).read_text())
+            net = _load_network(args.network)
             _write(args.out, write_csv(sample_from_network(net, args.n, args.seed)))
         elif args.command == "elicit":
             return _cmd_elicit(args, scheme)

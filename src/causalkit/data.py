@@ -127,7 +127,7 @@ def load_csv(
     for raw in reader:
         if not raw:
             continue
-        if len(raw) < len(header):
+        if len(raw) != len(header):
             raise SchemaMismatch(
                 f"line {reader.line_num}: {len(raw)} fields, "
                 f"header has {len(header)}"
@@ -191,18 +191,10 @@ def contingency_counts(
         raise DuplicateParent(f"bad parent set for {child}: {parents}")
     child_card = data.scheme.cardinality(child)
     parent_cards = tuple(data.scheme.cardinality(p) for p in parents)
-    n_configs = int(np.prod(parent_cards)) if parents else 1
-
-    child_col = data.column(child)
-    if parents:
-        config = np.zeros(data.n, dtype=np.int64)
-        for p, card in zip(parents, parent_cards):
-            config = config * card + data.column(p)
-    else:
-        config = np.zeros(data.n, dtype=np.int64)
-    flat = config * child_card + child_col
-    counts = np.bincount(flat, minlength=n_configs * child_card)
-    n_ij = counts.reshape(n_configs, child_card)
+    shape = parent_cards + (child_card,)
+    flat = np.ravel_multi_index([data.column(v) for v in (*parents, child)], shape)
+    counts = np.bincount(flat, minlength=int(np.prod(shape)))
+    n_ij = counts.reshape(-1, child_card)
     return CountTable(child, parents, n_ij, child_card, parent_cards)
 
 

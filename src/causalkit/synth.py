@@ -54,15 +54,11 @@ def sample_from_network(
     for idx in net.dag.topological_order():
         name = scheme.names[idx]
         cpd = net.cpds[name]
-        if cpd.parents:
-            config = np.zeros(n, dtype=np.int64)
-            for p in cpd.parents:
-                config = config * scheme.cardinality(p) + rows[:, scheme.index(p)]
-            probs = cpd.table[config]
-        else:
-            probs = np.broadcast_to(cpd.table[0], (n, cpd.table.shape[1]))
-        u = rng.random(n)
-        rows[:, idx] = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
+        shape = tuple(scheme.cardinality(p) for p in cpd.parents) + (-1,)
+        probs = cpd.table.reshape(shape)[
+            tuple(rows[:, scheme.index(p)] for p in cpd.parents)
+        ]
+        rows[:, idx] = _draw(probs, rng.random(n))
     return CategoricalDataset(scheme, rows)
 
 
@@ -81,9 +77,14 @@ def generate_cohort(
                 f"{name}: {vec.size} probabilities for "
                 f"{scheme.cardinality(name)} states"
             )
-        u = rng.random(spec.n)
-        rows[:, idx] = (vec.cumsum() < u[:, None]).sum(axis=1)
+        rows[:, idx] = _draw(vec, rng.random(spec.n))
     return CategoricalDataset(scheme, rows)
+
+
+def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """State per uniform draw u; the last cumulative sum is left out so that a
+    row summing to just under 1 cannot yield a state equal to the cardinality."""
+    return (probs.cumsum(axis=-1)[..., :-1] < u[:, None]).sum(axis=1)
 
 
 def random_network(dag: Dag, seed: int, concentration: float = 1.0) -> BayesianNetwork:

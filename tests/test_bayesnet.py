@@ -9,16 +9,12 @@ from causalkit.bayesnet import (
     Factor,
     brute_force_query,
     cpd_to_factor,
-    factor_marginalize,
-    factor_product,
-    factor_reduce,
     fit_cpds,
     variable_elimination,
 )
 from causalkit.data import CategoricalDataset
 from causalkit.errors import (
     CardinalityMismatch,
-    UnknownVariable,
     UnparameterizedNetwork,
     ZeroEvidenceProbability,
 )
@@ -97,55 +93,9 @@ class TestFitCpds:
 
 
 class TestFactors:
-    def test_product_scope_union(self, abc_scheme):
-        fa = Factor(abc_scheme, (0, 1), np.arange(4.0).reshape(2, 2))
-        fb = Factor(abc_scheme, (1, 2), np.arange(4.0).reshape(2, 2) + 1)
-        prod = factor_product(fa, fb)
-        assert prod.variables == (0, 1, 2)
-        # Check one aligned cell by hand: (x0=1, x1=0, x2=1).
-        assert prod.values[1, 0, 1] == fa.values[1, 0] * fb.values[0, 1]
-
-    def test_marginalize_preserves_mass(self, abc_scheme):
-        f = Factor(abc_scheme, (0, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
-        out = factor_marginalize(f, 2)
-        assert out.variables == (0,)
-        assert out.values.sum() == pytest.approx(f.values.sum())
-
-    def test_marginalize_unknown_variable(self, abc_scheme):
-        f = Factor(abc_scheme, (0,), np.array([0.5, 0.5]))
-        with pytest.raises(UnknownVariable):
-            factor_marginalize(f, 1)
-
-    def test_reduce_slices(self, abc_scheme):
-        f = Factor(abc_scheme, (0, 1), np.array([[0.1, 0.2], [0.3, 0.4]]))
-        out = factor_reduce(f, 0, 1)
-        assert out.variables == (1,)
-        assert out.values.tolist() == [0.3, 0.4]
-
     def test_shape_validation(self, abc_scheme):
         with pytest.raises(CardinalityMismatch):
             Factor(abc_scheme, (0, 1), np.zeros((2, 3)))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_product_commutes_and_preserves_mass_of_marginals(self, data):
-        scheme = binary_scheme(4)
-        scope_a = tuple(sorted(data.draw(
-            st.sets(st.integers(0, 3), min_size=1, max_size=3))))
-        scope_b = tuple(sorted(data.draw(
-            st.sets(st.integers(0, 3), min_size=1, max_size=3))))
-        rng = np.random.default_rng(data.draw(st.integers(0, 1000)))
-        fa = Factor(scheme, scope_a, rng.random([2] * len(scope_a)))
-        fb = Factor(scheme, scope_b, rng.random([2] * len(scope_b)))
-        ab = factor_product(fa, fb)
-        ba = factor_product(fb, fa)
-        assert ab.variables == ba.variables
-        assert np.allclose(ab.values, ba.values)
-        # Summing out the whole scope equals the sum of elementwise products.
-        reduced = ab
-        for v in ab.variables:
-            reduced = factor_marginalize(reduced, v)
-        assert reduced.values >= 0
 
 
 class TestInference:
@@ -178,13 +128,6 @@ class TestInference:
             variable_elimination(net, ["X0"], {"X1": "1"})
         with pytest.raises(ZeroEvidenceProbability):
             brute_force_query(net, ["X0"], {"X1": "1"})
-
-    def test_explicit_order_gives_same_answer(self, confounded_net):
-        default = variable_elimination(confounded_net, ["Y"], {"T": "1"})
-        forced = variable_elimination(
-            confounded_net, ["Y"], {"T": "1"}, order=[0, 1, 2]
-        )
-        assert np.allclose(default.values, forced.values)
 
     def test_joint_query_matches_brute_force(self, confounded_net):
         ve = variable_elimination(confounded_net, ["Y", "M"])

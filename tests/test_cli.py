@@ -48,6 +48,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: line 2:")
         assert "Traceback" not in err
+        width = len(nsclc.SCHEME.names)
+        short.write_text(",".join(nsclc.SCHEME.names) + "\n" + "x," * width + "x\n")
+        code = dispatch(["ingest", "--csv", str(short), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: line 2: {width + 1} fields")
+        assert not out.exists()
 
     def test_config_without_value_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -56,6 +62,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         assert "--config" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["data", "graph", "network", "config", "scheme"])
+    def test_unreadable_input_file_is_2(self, workdir, capsys, kind):
+        graph, out = str(workdir / "v1.json"), workdir / "out.txt"
+        argv = {
+            "data": lambda p: ["score", "--graph", graph, "--data", p],
+            "graph": lambda p: ["export-dot", "--graph", p, "--out", str(out)],
+            "network": lambda p: ["ate", "--network", p, "--out", str(out)],
+            "config": lambda p: ["cohort", "--n", "5", "--out", str(out), "--config", p],
+            "scheme": lambda p: ["--scheme", p, "export-dot", "--graph", graph, "--out", str(out)],
+        }[kind]
+        bad = workdir / "bad"
+        if kind == "data":
+            bad.write_bytes(b"\xff\xfe not utf-8\n")
+        else:
+            bad.write_text("{not json\n")
+        for path in (workdir / "missing", bad):
+            assert dispatch(argv(str(path))) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ")
+            assert len(err.splitlines()) == 1
         assert not out.exists()
 
 
@@ -80,9 +108,11 @@ class TestCohort:
         config.write_text(json.dumps({"seed": 9}))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
+        c = tmp_path / "c.csv"
         dispatch(["cohort", "--out", str(a), "--config", str(config)])
         dispatch(["cohort", "--out", str(b), "--seed", "9"])
-        assert a.read_text() == b.read_text()
+        dispatch(["cohort", "--out", str(c), f"--config={config}"])
+        assert a.read_text() == b.read_text() == c.read_text()
 
 
 class TestIngestAndSample:

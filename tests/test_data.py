@@ -56,6 +56,8 @@ class TestLoadCsv:
     def test_short_row_rejected_with_line_number(self):
         with pytest.raises(SchemaMismatch, match="line 3"):
             load_csv("A,B\nlo,x\nhi\n", AB)
+        with pytest.raises(SchemaMismatch, match="line 2: 4 fields"):
+            load_csv("A,B\nlo,x,extra,more\n", AB)
 
     def test_unmapped_label_rejected(self):
         with pytest.raises(SchemaMismatch):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from causalkit import nsclc
+from causalkit import nsclc, synth
+from causalkit.bayesnet import BayesianNetwork, Cpd
 from causalkit.errors import MarginalMismatch
 from causalkit.graph import Dag
 from causalkit.synth import (
@@ -79,6 +80,28 @@ class TestSampleFromNetwork:
         m, t = data.column("M"), data.column("T")
         y = data.column("Y")
         assert y[(m == 1) & (t == 1)].mean() == pytest.approx(0.8, abs=0.02)
+
+
+    def test_row_just_under_one_gives_last_state(self, monkeypatch):
+        # Rows summing to 1 - 5e-10 pass the 1e-9 normalization checks; a
+        # draw above that sum must still give the last state, not card.
+        class TopRng:
+            def random(self, n):
+                return np.full(n, 1 - 1e-12)
+
+        monkeypatch.setattr(synth, "_rng", lambda seed: TopRng())
+        row = [0.5, 0.5 - 5e-10]
+        scheme = binary_scheme(2)
+        net = BayesianNetwork(
+            Dag.from_names(scheme, [("X0", "X1")]),
+            {
+                "X0": Cpd("X0", (), np.array([row])),
+                "X1": Cpd("X1", ("X0",), np.array([row, row])),
+            },
+        )
+        assert (sample_from_network(net, 5, seed=0).rows == 1).all()
+        spec = CohortSpec(5, {"X0": tuple(row), "X1": tuple(row)})
+        assert (generate_cohort(spec, scheme).rows == 1).all()
 
 
 class TestRandomNetwork:
