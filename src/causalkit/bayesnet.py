@@ -18,6 +18,7 @@ import numpy as np
 from .data import CategoricalDataset, contingency_counts
 from .errors import (
     CardinalityMismatch,
+    SchemaMismatch,
     StateSpaceTooLarge,
     UnknownVariable,
     UnparameterizedNetwork,
@@ -106,12 +107,16 @@ class BayesianNetwork:
     @classmethod
     def from_json(cls, text: str) -> "BayesianNetwork":
         payload = json.loads(text)
-        dag = parse_graph_json(json.dumps(payload["dag"]))
-        cpds = {
-            name: Cpd(name, tuple(spec["parents"]), np.array(spec["table"]))
-            for name, spec in payload["cpds"].items()
-        }
-        return cls(dag, cpds)
+        try:
+            dag_text = json.dumps(payload["dag"])
+            specs = [
+                (name, tuple(spec["parents"]), np.array(spec["table"]))
+                for name, spec in payload["cpds"].items()
+            ]
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise SchemaMismatch(f"not a network of dag and cpds ({exc!r})") from None
+        cpds = {name: Cpd(name, parents, table) for name, parents, table in specs}
+        return cls(parse_graph_json(dag_text), cpds)
 
 
 def fit_cpds(

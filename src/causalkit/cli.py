@@ -13,8 +13,15 @@ from pathlib import Path
 from . import fixtures, nsclc
 from .bayesnet import BayesianNetwork, fit_cpds
 from .data import DiscretizationSpec, load_csv, write_csv
-from .errors import ToolkitError
-from .graph import Dag, Pdag, VariableScheme, parse_graph_json, serialize_graph
+from .errors import CycleError, ToolkitError
+from .graph import (
+    Dag,
+    Pdag,
+    VariableScheme,
+    parse_graph_json,
+    scheme_from_json,
+    serialize_graph,
+)
 from .intervention import ate_grid
 from .llm import HttpBackend, ReplayBackend, elicit_graph, refine
 from .notears import NotearsConfig, notears_fit
@@ -38,10 +45,7 @@ def _read(path, parse):
 def _load_scheme(path) -> VariableScheme:
     if path is None:
         return nsclc.SCHEME
-    payload = _read(path, json.loads)
-    return VariableScheme.of(
-        (v["name"], v["states"]) for v in payload["variables"]
-    )
+    return _read(path, lambda text: scheme_from_json(json.loads(text)))
 
 
 def _load_dataset(path, scheme):
@@ -62,7 +66,10 @@ def _load_network(path) -> BayesianNetwork:
 
 
 def _write(path, text):
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ToolkitError(f"{path}: {exc.strerror}") from None
     print(f"wrote {path}")
 
 
@@ -170,7 +177,7 @@ def _make_backend(args):
             raise ToolkitError("http backend requires --url")
         return HttpBackend(args.url, args.model, args.out_transcript)
     if args.replay_file:
-        return ReplayBackend.from_jsonl(args.replay_file)
+        return _read(args.replay_file, ReplayBackend.parse_jsonl)
     return None  # bundled fixtures, chosen per strategy
 
 
@@ -230,6 +237,10 @@ def _cmd_discover(args, scheme):
             max_cond_size=args.max_cond_size,
             test=args.ci_test,
         )
+        try:
+            Dag(scheme, graph.directed)
+        except CycleError:
+            print("warning: the edges PC directed form a cycle", file=sys.stderr)
     else:
         config = NotearsConfig(
             max_iter=args.max_iter,
@@ -238,6 +249,12 @@ def _cmd_discover(args, scheme):
             l1_penalty=args.l1,
         )
         graph = notears_fit(data, config).dag
+        if not graph.edges:
+            print(
+                "warning: NOTEARS learned 0 edges "
+                f"(no weight reached --w-threshold {args.w_threshold:g})",
+                file=sys.stderr,
+            )
     fmt = "dot" if args.out.endswith(".dot") else "json"
     _write(args.out, serialize_graph(graph, fmt))
     return 0
@@ -281,7 +298,10 @@ def _apply_config(parser, argv):
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     if path is not None:
-        parser.set_defaults(**_read(path, json.loads))
+        config = _read(path, json.loads)
+        if not isinstance(config, dict):
+            raise ToolkitError(f"{path}: config must be a JSON object")
+        parser.set_defaults(**config)
 
 
 def dispatch(argv=None) -> int:

@@ -37,13 +37,19 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True)
 class CategoricalDataset:
-    """Row-major table of state indices conforming to a scheme."""
+    """Row-major table of state indices conforming to a scheme.
+
+    `_counts` is `contingency_counts`'s memo; the read-only rows keep it valid.
+    """
 
     scheme: VariableScheme
     rows: np.ndarray
+    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.int64)
+        if rows.base is not None:  # a view's base could still be written
+            rows = rows.copy(order="K")
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != len(self.scheme):
@@ -185,17 +191,27 @@ def write_csv(data: CategoricalDataset, delimiter: str = ",") -> str:
 def contingency_counts(
     data: CategoricalDataset, child: str, parents
 ) -> CountTable:
-    """Tally child states against every parent configuration."""
+    """Tally child states against every parent configuration.
+
+    Each (child, parents) table is counted once per dataset; later calls
+    return the same CountTable, whose n_ij is read-only.
+    """
     parents = tuple(parents)
     if len(set(parents)) != len(parents) or child in parents:
         raise DuplicateParent(f"bad parent set for {child}: {parents}")
+    table = data._counts.get((child, parents))
+    if table is not None:
+        return table
     child_card = data.scheme.cardinality(child)
     parent_cards = tuple(data.scheme.cardinality(p) for p in parents)
     shape = parent_cards + (child_card,)
     flat = np.ravel_multi_index([data.column(v) for v in (*parents, child)], shape)
     counts = np.bincount(flat, minlength=int(np.prod(shape)))
     n_ij = counts.reshape(-1, child_card)
-    return CountTable(child, parents, n_ij, child_card, parent_cards)
+    n_ij.setflags(write=False)
+    table = CountTable(child, parents, n_ij, child_card, parent_cards)
+    data._counts[child, parents] = table
+    return table
 
 
 def correlation_matrix(data: CategoricalDataset):

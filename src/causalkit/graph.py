@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleError, ShapeError, UnknownVariable
+from .errors import CycleError, SchemaMismatch, ShapeError, UnknownVariable
 
 
 @dataclass(frozen=True)
@@ -276,17 +276,51 @@ def serialize_graph(graph, format: str = "json") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def parse_graph_json(text: str, scheme: VariableScheme | None = None):
-    """Inverse of serialize_graph(json).  Returns a Dag when no undirected edges."""
-    payload = json.loads(text)
-    if scheme is None:
-        scheme = VariableScheme.of(
+def scheme_from_json(payload) -> VariableScheme:
+    """The scheme of a parsed `{"variables": [{"name", "states"}, ...]}` object."""
+    try:
+        return VariableScheme.of(
             (v["name"], v["states"]) for v in payload["variables"]
         )
-    directed = frozenset((u, v) for u, v in payload["directed"])
-    undirected = payload.get("undirected", [])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(
+            f"not a variable list of name/states objects ({exc!r})"
+        ) from None
+
+
+def _edge_pairs(edges, n: int) -> list[tuple[int, int]]:
+    """Validated [u, v] pairs of indices into an n-variable scheme."""
+    if not isinstance(edges, list):
+        raise SchemaMismatch(f"graph edges must be a list, got {edges!r}")
+    for edge in edges:
+        if not (
+            isinstance(edge, list)
+            and len(edge) == 2
+            and all(type(i) is int and 0 <= i < n for i in edge)
+        ):
+            raise SchemaMismatch(
+                f"edge {edge!r} is not a pair of variable indices 0..{n - 1}"
+            )
+    return [(u, v) for u, v in edges]
+
+
+def parse_graph_json(text: str, scheme: VariableScheme | None = None):
+    """Inverse of serialize_graph(json).  Returns a Dag when no undirected edges.
+
+    JSON that is not a graph over the scheme raises SchemaMismatch.
+    """
+    payload = json.loads(text)
+    if scheme is None:
+        scheme = scheme_from_json(payload)
+    if not isinstance(payload, dict) or "directed" not in payload:
+        raise SchemaMismatch('graph JSON must be an object with a "directed" list')
+    directed = frozenset(_edge_pairs(payload["directed"], len(scheme)))
+    undirected = _edge_pairs(payload.get("undirected", []), len(scheme))
     if undirected:
-        return Pdag(
-            scheme, directed, frozenset(frozenset(e) for e in undirected)
-        )
+        try:
+            return Pdag(
+                scheme, directed, frozenset(frozenset(e) for e in undirected)
+            )
+        except ValueError as exc:
+            raise SchemaMismatch(str(exc)) from None
     return Dag(scheme, directed)

@@ -23,6 +23,7 @@ from .errors import (
     CycleError,
     CyclicDraft,
     ReplayMiss,
+    SchemaMismatch,
     VariableAliasUnknown,
 )
 from .graph import Dag, VariableScheme, is_acyclic
@@ -37,12 +38,22 @@ class ReplayBackend:
 
     @classmethod
     def from_jsonl(cls, path) -> "ReplayBackend":
-        exchanges = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
+            return cls.parse_jsonl(fh.read())
+
+    @classmethod
+    def parse_jsonl(cls, text: str) -> "ReplayBackend":
+        """Backend from JSON lines of {"prompt": ..., "completion": ...}."""
+        exchanges = {}
+        for number, line in enumerate(text.split("\n"), 1):
+            if line.strip():
+                try:
                     record = json.loads(line)
                     exchanges[record["prompt"]] = record["completion"]
+                except (ValueError, KeyError, TypeError):
+                    raise SchemaMismatch(
+                        f"line {number}: not a JSON object with prompt and completion"
+                    ) from None
         return cls(exchanges)
 
     def send(self, prompt: str, temperature: float = 0.0) -> str:
@@ -54,7 +65,14 @@ class ReplayBackend:
 
 class HttpBackend:
     """Chat-completion endpoint client; every exchange is recorded to a
-    JSON-lines transcript so runs can be replayed."""
+    JSON-lines transcript so runs can be replayed.
+
+    A failed connection, a timeout, 429 and 5xx are retried with doubling
+    delays; any other status and a body without a completion raise
+    BackendError.
+    """
+
+    TIMEOUT_S = 60.0
 
     def __init__(
         self,
@@ -81,32 +99,41 @@ class HttpBackend:
         headers = {"Authorization": f"Bearer {self.api_key}"}
         delay = 1.0
         for attempt in range(self.max_retries + 1):
-            response = requests.post(self.url, json=payload, headers=headers)
-            if response.status_code == 429 or response.status_code >= 500:
-                if attempt == self.max_retries:
-                    raise BackendError(
-                        f"backend returned {response.status_code} after retries"
-                    )
-                time.sleep(delay)
-                delay *= 2
-                continue
-            if response.status_code != 200:
-                raise BackendError(f"backend returned {response.status_code}")
+            try:
+                response = requests.post(
+                    self.url, json=payload, headers=headers, timeout=self.TIMEOUT_S
+                )
+            except requests.RequestException as exc:
+                failure = f"request failed: {exc}"
+            else:
+                if response.status_code == 200:
+                    break
+                if response.status_code != 429 and response.status_code < 500:
+                    raise BackendError(f"backend returned {response.status_code}")
+                failure = f"backend returned {response.status_code}"
+            if attempt == self.max_retries:
+                raise BackendError(f"{failure} after retries")
+            time.sleep(delay)
+            delay *= 2
+        try:
             completion = response.json()["choices"][0]["message"]["content"]
-            if self.transcript_path:
-                with open(self.transcript_path, "a", encoding="utf-8") as fh:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "prompt": prompt,
-                                "completion": completion,
-                                "time": time.time(),
-                            }
-                        )
-                        + "\n"
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise BackendError(f"malformed completion body ({exc!r})") from None
+        if not isinstance(completion, str):
+            raise BackendError("malformed completion body (content is not text)")
+        if self.transcript_path:
+            with open(self.transcript_path, "a", encoding="utf-8") as fh:
+                fh.write(
+                    json.dumps(
+                        {
+                            "prompt": prompt,
+                            "completion": completion,
+                            "time": time.time(),
+                        }
                     )
-            return completion
-        raise BackendError("unreachable")
+                    + "\n"
+                )
+        return completion
 
 
 @dataclass(frozen=True)

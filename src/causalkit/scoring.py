@@ -73,43 +73,22 @@ def bdeu_family_canonical(counts: CountTable, alpha: float) -> float:
 _FAMILY = {"paper": bdeu_family_paper, "canonical": bdeu_family_canonical}
 
 
-class ScoreCache:
-    """Memoizes family scores keyed by (child, sorted parents, alpha, variant)."""
-
-    def __init__(self, data: CategoricalDataset):
-        self.data = data
-        self._store: dict[tuple, float] = {}
-
-    def family(self, child: str, parents, alpha: float, variant: str) -> float:
-        key = (child, tuple(sorted(parents)), alpha, variant)
-        if key not in self._store:
-            counts = contingency_counts(self.data, child, parents)
-            self._store[key] = _FAMILY[variant](counts, alpha)
-        return self._store[key]
-
-
 def bdeu_total(
     dag: Dag,
     data: CategoricalDataset,
     alpha: float,
     variant: str = "canonical",
-    cache: ScoreCache | None = None,
 ) -> ScoreReport:
     """Whole-graph score: sum of per-node family scores in scheme order."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     if dag.scheme is not data.scheme and dag.scheme != data.scheme:
         raise ValueError("dag and data use different schemes")
-    if cache is not None and cache.data is not data:
-        raise ValueError("cache built for a different dataset")
     per_node = {}
     for idx, name in enumerate(dag.scheme.names):
         parents = tuple(dag.scheme.names[p] for p in dag.parents(idx))
-        if cache is not None:
-            per_node[name] = cache.family(name, parents, alpha, variant)
-        else:
-            counts = contingency_counts(data, name, parents)
-            per_node[name] = _FAMILY[variant](counts, alpha)
+        counts = contingency_counts(data, name, parents)
+        per_node[name] = _FAMILY[variant](counts, alpha)
     total = sum(per_node.values())
     return ScoreReport(per_node, total, alpha, variant)
 

@@ -25,7 +25,7 @@ from causalkit.pc import (
     pc_run,
     structural_hamming_distance,
 )
-from causalkit.scoring import ScoreCache, bdeu_family_canonical, bdeu_family_paper, bdeu_total
+from causalkit.scoring import bdeu_family_canonical, bdeu_family_paper, bdeu_total
 from causalkit.synth import CohortSpec, generate_cohort, random_network, sample_from_network
 
 from conftest import binary_scheme
@@ -122,7 +122,6 @@ def test_criterion_3_structure_validation_power():
     density = len(true_dag.edges)
     net = random_network(true_dag, seed=42, concentration=0.5)
     data = sample_from_network(net, 10_000, seed=0)
-    cache = ScoreCache(data)
 
     randoms = []
     while len(randoms) < 100:
@@ -132,11 +131,11 @@ def test_criterion_3_structure_validation_power():
 
     worst_wins = 100
     for ess in (5.0, 10.0, 15.0):
-        true_score = bdeu_total(true_dag, data, ess, cache=cache).total
+        true_score = bdeu_total(true_dag, data, ess).total
         wins = sum(
             1
             for cand in randoms
-            if true_score > bdeu_total(cand, data, ess, cache=cache).total
+            if true_score > bdeu_total(cand, data, ess).total
         )
         worst_wins = min(worst_wins, wins)
     elapsed = time.perf_counter() - start

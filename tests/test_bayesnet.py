@@ -12,7 +12,7 @@ from causalkit.bayesnet import (
     fit_cpds,
     variable_elimination,
 )
-from causalkit.data import CategoricalDataset
+from causalkit.data import CategoricalDataset, contingency_counts
 from causalkit.errors import (
     CardinalityMismatch,
     UnparameterizedNetwork,
@@ -83,6 +83,21 @@ class TestFitCpds:
         data = CategoricalDataset(scheme, np.array([[0, 0]]))
         with pytest.raises(ValueError):
             fit_cpds(Dag(scheme), data, 0.0)
+
+    def test_filled_count_memo_gives_identical_tables(self):
+        scheme = binary_scheme(4)
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2, size=(300, 4))
+        dag = Dag.from_names(scheme, [("X0", "X2"), ("X1", "X2"), ("X2", "X3")])
+        other = Dag.from_names(scheme, [("X2", "X0"), ("X3", "X2"), ("X1", "X3")])
+        warm = CategoricalDataset(scheme, rows)
+        fit_cpds(other, warm, 1.0)
+        contingency_counts(warm, "X2", ("X1", "X0"))
+        fit_cpds(dag, warm, 15.0)
+        fresh = fit_cpds(dag, CategoricalDataset(scheme, rows), 5.0)
+        for name, cpd in fit_cpds(dag, warm, 5.0).cpds.items():
+            assert cpd.parents == fresh.cpds[name].parents
+            assert cpd.table.tobytes() == fresh.cpds[name].table.tobytes()
 
     def test_large_sample_recovers_frequencies(self):
         scheme = binary_scheme(1)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from causalkit import nsclc
+from causalkit import cli, nsclc
 from causalkit.cli import dispatch
 from causalkit.graph import Dag, Pdag, parse_graph_json, serialize_graph
 from causalkit.synth import reference_network, sample_from_network
@@ -85,6 +85,59 @@ class TestExitCodes:
             assert err.startswith(f"error: {path}: ")
             assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "config-not-object",
+            "scheme-without-variables",
+            "graph-without-directed",
+            "network-graph-without-variables",
+            "edge-index-outside-scheme",
+            "edge-directed-and-undirected",
+            "missing-replay-file",
+            "out-in-missing-directory",
+        ],
+    )
+    def test_wrong_shape_or_path_is_2(self, workdir, capsys, case):
+        graph = json.loads((workdir / "v1.json").read_text())
+        bad, out = workdir / "bad.json", workdir / "out.txt"
+        v1 = str(workdir / "v1.json")
+        content, argv = {
+            "config-not-object": (
+                [1], ["cohort", "--n", "5", "--out", str(out), "--config", str(bad)]
+            ),
+            "scheme-without-variables": (
+                {},
+                ["--scheme", str(bad), "export-dot", "--graph", v1, "--out", str(out)],
+            ),
+            "graph-without-directed": ({"variables": []}, None),
+            "network-graph-without-variables": (
+                {"dag": {"directed": []}, "cpds": {}},
+                ["ate", "--network", str(bad), "--out", str(out)],
+            ),
+            "edge-index-outside-scheme": (
+                {**graph, "directed": graph["directed"] + [[0, 99]]}, None
+            ),
+            "edge-directed-and-undirected": (
+                {**graph, "undirected": graph["directed"][:1]}, None
+            ),
+            "missing-replay-file": (
+                None,
+                ["elicit", "--strategy", "single", "--replay-file", str(bad),
+                 "--out-graph", str(out)],
+            ),
+            "out-in-missing-directory": (
+                None, ["cohort", "--n", "5", "--out", str(workdir / "nodir" / "c.csv")]
+            ),
+        }[case]
+        if content is not None:
+            bad.write_text(json.dumps(content))
+        argv = argv or ["export-dot", "--graph", str(bad), "--out", str(out)]
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists() and not (workdir / "nodir").exists()
 
 
 class TestCohort:
@@ -272,7 +325,7 @@ class TestScoreFitAte:
 
 
 class TestDiscover:
-    def test_pc_writes_graph(self, workdir):
+    def test_pc_writes_graph(self, workdir, capsys):
         out = workdir / "pc.json"
         code = dispatch(
             [
@@ -290,6 +343,19 @@ class TestDiscover:
         assert code == 0
         graph = parse_graph_json(out.read_text())
         assert isinstance(graph, (Dag, Pdag))
+        assert "warning:" not in capsys.readouterr().err
+
+    def test_pc_directed_cycle_warns(self, workdir, capsys, monkeypatch):
+        cyclic = Pdag(nsclc.SCHEME, frozenset({(0, 1), (1, 2), (2, 0)}))
+        monkeypatch.setattr(cli, "pc_run", lambda data, **kwargs: cyclic)
+        out = workdir / "pc.json"
+        argv = ["discover", "--algo", "pc", "--data", str(workdir / "data.csv")]
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines() if "warning" in line
+        ]
+        assert warnings == ["warning: the edges PC directed form a cycle"]
+        assert out.read_text() == serialize_graph(cyclic, "json")
 
     def test_notears_writes_dot(self, workdir):
         out = workdir / "nt.dot"
@@ -306,6 +372,18 @@ class TestDiscover:
         )
         assert code == 0
         assert out.read_text().startswith("digraph G {")
+
+    def test_notears_zero_edges_warns(self, workdir, capsys):
+        out = workdir / "nt.json"
+        argv = ["discover", "--algo", "notears", "--data", str(workdir / "data.csv")]
+        assert dispatch(argv + ["--out", str(out), "--w-threshold", "100"]) == 0
+        assert out.read_text() == serialize_graph(Dag(nsclc.SCHEME), "json")
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines() if "warning" in line
+        ]
+        assert warnings == [
+            "warning: NOTEARS learned 0 edges (no weight reached --w-threshold 100)"
+        ]
 
 
 class TestExportDot:

@@ -98,6 +98,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.rows[0, 0] = 1
 
+    def test_view_of_writable_array_is_copied(self):
+        base = np.zeros((3, 2), dtype=np.int64)
+        data = CategoricalDataset(AB, base[:2])
+        table = contingency_counts(data, "B", ("A",))
+        base[0, 0] = 1
+        assert data.rows.tolist() == [[0, 0], [0, 0]]
+        assert table.n_ij.tolist() == [[2, 0, 0], [0, 0, 0]]
+        columns = CategoricalDataset(AB, np.ascontiguousarray(base.T).T)
+        assert columns.rows.flags.f_contiguous  # the layout is kept
+
 
 class TestContingency:
     def test_no_parents(self):
@@ -114,10 +124,12 @@ class TestContingency:
 
     def test_duplicate_parent_rejected(self):
         data = CategoricalDataset(AB, np.array([[0, 0]]))
-        with pytest.raises(DuplicateParent):
-            contingency_counts(data, "B", ("A", "A"))
-        with pytest.raises(DuplicateParent):
-            contingency_counts(data, "B", ("B",))
+        contingency_counts(data, "B", ("A",))
+        for _ in range(2):  # a rejected parent set is never memoized
+            with pytest.raises(DuplicateParent):
+                contingency_counts(data, "B", ("A", "A"))
+            with pytest.raises(DuplicateParent):
+                contingency_counts(data, "B", ("B",))
 
     def test_parent_order_is_row_major(self):
         scheme = binary_scheme(3)
@@ -125,6 +137,34 @@ class TestContingency:
         table = contingency_counts(data, "X2", ("X0", "X1"))
         # config index = X0 * 2 + X1 = 2
         assert table.n_ij[2].tolist() == [0, 1]
+
+    def test_repeated_call_returns_the_same_read_only_table(self):
+        data = CategoricalDataset(AB, np.array([[0, 0], [0, 2], [1, 1]]))
+        table = contingency_counts(data, "B", ["A"])
+        assert contingency_counts(data, "B", ("A",)) is table
+        with pytest.raises(ValueError):
+            table.n_ij[0, 0] = 5
+        assert table.n_ij.tolist() == [[1, 0, 1], [0, 1, 0]]
+        fresh = CategoricalDataset(AB, data.rows)
+        assert contingency_counts(fresh, "B", ("A",)) is not table
+
+    def test_each_parent_order_has_its_own_table(self):
+        scheme = VariableScheme.of(
+            [("A", ("0", "1")), ("B", ("0", "1", "2")), ("C", ("0", "1"))]
+        )
+        rows = np.array([[1, 0, 1], [0, 2, 0], [0, 2, 1], [1, 1, 0]])
+        data = CategoricalDataset(scheme, rows)
+        ab = contingency_counts(data, "C", ("A", "B"))
+        ba = contingency_counts(data, "C", ("B", "A"))
+        assert (ab.parents, ba.parents) == (("A", "B"), ("B", "A"))
+        assert ab.parent_cards == (2, 3) and ba.parent_cards == (3, 2)
+        expected_ab, expected_ba = np.zeros((6, 2)), np.zeros((6, 2))
+        for a, b, c in rows:
+            expected_ab[a * 3 + b, c] += 1
+            expected_ba[b * 2 + a, c] += 1
+        assert ab.n_ij.tolist() == expected_ab.tolist()
+        assert ba.n_ij.tolist() == expected_ba.tolist()
+        assert ab.n_ij.tolist() != ba.n_ij.tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalkit.errors import CycleError, ShapeError, UnknownVariable
+from causalkit.errors import CycleError, SchemaMismatch, ShapeError, UnknownVariable
 from causalkit.graph import (
     Dag,
     Pdag,
@@ -181,6 +183,30 @@ class TestSerialization:
         back = parse_graph_json(serialize_graph(g, "json"))
         assert back.directed == g.directed
         assert back.undirected == g.undirected
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"directed": []},
+            {"variables": [{"name": "X0"}], "directed": []},
+            {"variables": [{"name": "X0", "states": ["0", "1"]}] * 2, "directed": []},
+            {"variables": "V"},
+            {"variables": "V", "directed": [[0, 1]], "undirected": [[0, 1]]},
+            {"variables": "V", "directed": [[0, -1]]},
+            {"variables": "V", "directed": [[0, 2]]},
+            {"variables": "V", "directed": [[0, True]]},
+            {"variables": "V", "directed": [[0, 1.0]]},
+            {"variables": "V", "directed": [[0, 1, 1]]},
+            {"variables": "V", "directed": {"0": 1}},
+        ],
+    )
+    def test_json_of_wrong_shape_rejected(self, payload):
+        if isinstance(payload, dict) and payload.get("variables") == "V":
+            variables = json.loads(serialize_graph(Dag(binary_scheme(2)), "json"))
+            payload = {**payload, "variables": variables["variables"]}
+        with pytest.raises(SchemaMismatch):
+            parse_graph_json(json.dumps(payload))
 
 
 class TestPdag:

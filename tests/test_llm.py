@@ -2,12 +2,20 @@ import json
 
 import numpy as np
 import pytest
+import requests
 
-from causalkit import fixtures, nsclc
-from causalkit.errors import CyclicDraft, ReplayMiss, VariableAliasUnknown
+from causalkit import fixtures, llm, nsclc
+from causalkit.errors import (
+    BackendError,
+    CyclicDraft,
+    ReplayMiss,
+    SchemaMismatch,
+    VariableAliasUnknown,
+)
 from causalkit.graph import Dag
 from causalkit.llm import (
     ElicitationTranscript,
+    HttpBackend,
     ReplayBackend,
     elicit_graph,
     pairwise_prompts,
@@ -139,6 +147,12 @@ class TestReplayBackend:
         assert backend.send("p1") == "c1"
         assert backend.send("p2") == "c2"
 
+    @pytest.mark.parametrize("bad", ["[1]", '{"prompt": "q"}', "{oops"])
+    def test_malformed_jsonl_line_rejected_with_its_number(self, bad):
+        text = '{"prompt": "p", "completion": "c"}\n\n' + bad + "\n"
+        with pytest.raises(SchemaMismatch, match="^line 3: "):
+            ReplayBackend.parse_jsonl(text)
+
     def test_transcript_jsonl_is_replayable(self):
         backend = fixtures.pairwise_replay_backend()
         _, transcript = elicit_graph("pairwise", SCHEME, backend)
@@ -235,3 +249,89 @@ class TestNsclcDrafts:
     def test_drafts_are_dags(self):
         nsclc.v1_dag()
         nsclc.v5_dag()
+
+
+def _response(status, body):
+    response = requests.Response()
+    response.status_code = status
+    response._content = body if isinstance(body, bytes) else json.dumps(body).encode()
+    return response
+
+
+def _completion(text):
+    return {"choices": [{"message": {"content": text}}]}
+
+
+class TestHttpBackend:
+    """HttpBackend against a fake `requests.post`; no request leaves the process."""
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        calls, sleeps, replies = [], [], []
+
+        def post(url, **kwargs):
+            calls.append(kwargs)
+            reply = replies.pop(0)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(llm.time, "sleep", sleeps.append)
+        return calls, sleeps, replies
+
+    def test_completion_and_timeout(self, fake, tmp_path):
+        calls, sleeps, replies = fake
+        replies.append(_response(200, _completion("yes")))
+        transcript = tmp_path / "t.jsonl"
+        backend = HttpBackend("http://llm.invalid/v1", "m", transcript)
+        assert backend.send("p") == "yes"
+        assert calls[0]["timeout"] == HttpBackend.TIMEOUT_S > 0
+        assert calls[0]["json"]["messages"] == [{"role": "user", "content": "p"}]
+        assert json.loads(transcript.read_text())["completion"] == "yes"
+        assert sleeps == []
+
+    def test_connection_errors_retried_then_backend_error(self, fake):
+        calls, sleeps, replies = fake
+        replies.extend(requests.ConnectionError("refused") for _ in range(4))
+        with pytest.raises(BackendError, match="refused"):
+            HttpBackend("http://llm.invalid/v1", "m", max_retries=3).send("p")
+        assert len(calls) == 4 and sleeps == [1.0, 2.0, 4.0]
+
+    def test_timeout_then_success(self, fake):
+        calls, sleeps, replies = fake
+        replies.extend(
+            [
+                requests.Timeout("slow"),
+                _response(503, {}),
+                _response(200, _completion("no")),
+            ]
+        )
+        assert HttpBackend("http://llm.invalid/v1", "m").send("p") == "no"
+        assert sleeps == [1.0, 2.0]
+
+    def test_client_error_not_retried(self, fake):
+        calls, sleeps, replies = fake
+        replies.append(_response(401, {}))
+        with pytest.raises(BackendError, match="401"):
+            HttpBackend("http://llm.invalid/v1", "m").send("p")
+        assert len(calls) == 1 and sleeps == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"<html>gateway</html>",
+            {},
+            {"choices": []},
+            {"choices": [{"message": {}}]},
+            _completion(None),
+            [1],
+        ],
+    )
+    def test_malformed_body_is_backend_error(self, fake, tmp_path, body):
+        _, _, replies = fake
+        replies.append(_response(200, body))
+        transcript = tmp_path / "t.jsonl"
+        with pytest.raises(BackendError, match="malformed"):
+            HttpBackend("http://llm.invalid/v1", "m", transcript).send("p")
+        assert not transcript.exists()
