@@ -95,14 +95,15 @@ class BayesianNetwork:
         return self.dag.scheme
 
     def to_json(self) -> str:
-        payload = {
-            "dag": json.loads(serialize_graph(self.dag, "json")),
-            "cpds": {
-                name: {"parents": list(c.parents), "table": c.table.tolist()}
-                for name, c in self.cpds.items()
-            },
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        # One line per CPD: indent= would send every float through json's
+        # pure-Python encoder, while json.dumps without it uses the C one.
+        dag = json.dumps(json.loads(serialize_graph(self.dag, "json")))
+        cpds = ",\n".join(
+            f"    {json.dumps(name)}: "
+            + json.dumps({"parents": list(c.parents), "table": c.table.tolist()})
+            for name, c in self.cpds.items()
+        )
+        return f'{{\n  "dag": {dag},\n  "cpds": {{\n{cpds}\n  }}\n}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "BayesianNetwork":

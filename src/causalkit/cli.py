@@ -1,6 +1,7 @@
 """Command-line entry point wiring the toolkit together.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error.
+Exit codes: 0 success, 1 usage error, 2 data/validation error.  Each
+subcommand's handler imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import fixtures, nsclc
-from .bayesnet import BayesianNetwork, fit_cpds
+from . import nsclc
 from .data import DiscretizationSpec, load_csv, write_csv
 from .errors import CycleError, ToolkitError
 from .graph import (
@@ -22,23 +22,17 @@ from .graph import (
     scheme_from_json,
     serialize_graph,
 )
-from .intervention import ate_grid
-from .llm import HttpBackend, ReplayBackend, elicit_graph, refine
-from .notears import NotearsConfig, notears_fit
-from .pc import pc_run
-from .scoring import bdeu_total, score_table
-from .synth import CohortSpec, generate_cohort, sample_from_network
 
 
 def _read(path, parse):
-    """parse(text of the file at path); a file that cannot be read or
-    decoded is a data error that names the file."""
+    """parse(text of the file at path); a file that cannot be read, decoded
+    or parsed is a data error that names the file."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             return parse(fh.read())
     except OSError as exc:
         raise ToolkitError(f"{path}: {exc.strerror}") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, ToolkitError) as exc:
         raise ToolkitError(f"{path}: {exc}") from None
 
 
@@ -61,7 +55,9 @@ def _load_graph(path, scheme):
     return _read(path, lambda text: parse_graph_json(text, scheme))
 
 
-def _load_network(path) -> BayesianNetwork:
+def _load_network(path):
+    from .bayesnet import BayesianNetwork
+
     return _read(path, BayesianNetwork.from_json)
 
 
@@ -73,12 +69,9 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
-def _ess_list(value) -> list[float]:
-    return [float(v) for v in str(value).split(",")]
-
-
 def build_parser() -> argparse.ArgumentParser:
-    # Global flags are accepted both before and after the subcommand.
+    # Global flags are accepted before and after the subcommand. SUPPRESS
+    # defaults stop the subparser pass clobbering an earlier value (use getattr).
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--config", help="JSON config file with defaults", default=argparse.SUPPRESS
@@ -92,40 +85,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="causalkit", parents=[common])
     sub = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, handler, text, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("ingest", help="encode a raw CSV into dataset form")
+    llm = argparse.ArgumentParser(add_help=False)
+    llm.add_argument("--backend", choices=("replay", "http"), default="replay")
+    llm.add_argument("--replay-file")
+    llm.add_argument("--url")
+    llm.add_argument("--model", default="gpt-4")
+    llm.add_argument("--out-graph", required=True)
+    llm.add_argument("--out-transcript")
+    bdeu = argparse.ArgumentParser(add_help=False)
+    bdeu.add_argument("--data", required=True)
+    bdeu.add_argument("--ess", default="5,10,15")
+    bdeu.add_argument("--variant", choices=("paper", "canonical"), default="canonical")
+
+    p = add_parser("ingest", _cmd_ingest, "encode a raw CSV into dataset form")
     p.add_argument("--csv", required=True)
     p.add_argument("--out", required=True)
 
-    p = add_parser("cohort", help="synthesize a cohort from marginals")
+    p = add_parser("cohort", _cmd_cohort, "synthesize a cohort from marginals")
     p.add_argument("--n", type=int, default=nsclc.COHORT_SIZE)
     p.add_argument("--out", required=True)
 
-    p = add_parser("sample", help="ancestral-sample from a network file")
+    p = add_parser("sample", _cmd_sample, "ancestral-sample from a network file")
     p.add_argument("--network", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = add_parser("elicit", help="LLM graph elicitation")
+    p = add_parser("elicit", _cmd_elicit, "LLM graph elicitation", llm)
     p.add_argument("--strategy", choices=("pairwise", "single"), required=True)
-    p.add_argument("--backend", choices=("replay", "http"), default="replay")
-    p.add_argument("--replay-file")
-    p.add_argument("--url")
-    p.add_argument("--model", default="gpt-4")
-    p.add_argument("--out-graph", required=True)
-    p.add_argument("--out-transcript")
 
-    p = add_parser("refine", help="interactive correction loop")
-    p.add_argument("--backend", choices=("replay", "http"), default="replay")
-    p.add_argument("--replay-file")
-    p.add_argument("--url")
-    p.add_argument("--model", default="gpt-4")
-    p.add_argument("--out-graph", required=True)
-    p.add_argument("--out-transcript")
+    add_parser("refine", _cmd_refine, "interactive correction loop", llm)
 
-    p = add_parser("discover", help="run a discovery baseline")
+    p = add_parser("discover", _cmd_discover, "run a discovery baseline")
     p.add_argument("--algo", choices=("pc", "notears"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -137,20 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-threshold", type=float, default=0.5)
     p.add_argument("--l1", type=float, default=0.1)
 
-    p = add_parser("score", help="Bdeu score a graph against data")
+    p = add_parser("score", _cmd_score, "Bdeu score a graph against data", bdeu)
     p.add_argument("--graph", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--ess", default="5,10,15")
-    p.add_argument("--variant", choices=("paper", "canonical"), default="canonical")
     p.add_argument("--out")
 
-    p = add_parser("fit", help="fit CPDs and write a network file")
+    p = add_parser("fit", _cmd_fit, "fit CPDs and write a network file")
     p.add_argument("--graph", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--ess", type=float, default=10.0)
     p.add_argument("--out", required=True)
 
-    p = add_parser("ate", help="average treatment effects")
+    p = add_parser("ate", _cmd_ate, "average treatment effects")
     p.add_argument("--network")
     p.add_argument("--graph")
     p.add_argument("--data")
@@ -158,48 +150,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="store_true")
     p.add_argument("--out")
 
-    p = add_parser("compare", help="side-by-side Bdeu for several graphs")
+    p = add_parser("compare", _cmd_compare, "side-by-side Bdeu of several graphs", bdeu)
     p.add_argument("--graphs", nargs="+", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--ess", default="5,10,15")
-    p.add_argument("--variant", choices=("paper", "canonical"), default="canonical")
 
-    p = add_parser("export-dot", help="graph JSON to graphviz DOT")
+    p = add_parser("export-dot", _cmd_export_dot, "graph JSON to graphviz DOT")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
 
     return parser
 
 
+def _cmd_ingest(args, scheme):
+    _write(args.out, write_csv(_load_dataset(args.csv, scheme)))
+
+
+def _cmd_cohort(args, scheme):
+    from .synth import CohortSpec, generate_cohort
+
+    spec = CohortSpec.nsclc_default(args.n, getattr(args, "seed", 0))
+    _write(args.out, write_csv(generate_cohort(spec, scheme)))
+
+
+def _cmd_sample(args, scheme):
+    from .synth import sample_from_network
+
+    net = _load_network(args.network)
+    rows = sample_from_network(net, args.n, getattr(args, "seed", 0))
+    _write(args.out, write_csv(rows))
+
+
 def _make_backend(args):
+    from . import fixtures
+    from .llm import HttpBackend, ReplayBackend
+
     if args.backend == "http":
         if not args.url:
             raise ToolkitError("http backend requires --url")
         return HttpBackend(args.url, args.model, args.out_transcript)
     if args.replay_file:
         return _read(args.replay_file, ReplayBackend.parse_jsonl)
-    return None  # bundled fixtures, chosen per strategy
+    if getattr(args, "strategy", None) == "pairwise":
+        return fixtures.pairwise_replay_backend()
+    return fixtures.refinement_replay_backend()
 
 
 def _cmd_elicit(args, scheme):
-    backend = _make_backend(args)
-    if backend is None:
-        backend = (
-            fixtures.pairwise_replay_backend()
-            if args.strategy == "pairwise"
-            else fixtures.refinement_replay_backend()
-        )
-    dag, transcript = elicit_graph(args.strategy, scheme, backend)
+    from .llm import elicit_graph
+
+    dag, transcript = elicit_graph(args.strategy, scheme, _make_backend(args))
     _write(args.out_graph, serialize_graph(dag, "json"))
     if args.out_transcript and args.backend != "http":
         _write(args.out_transcript, transcript.to_jsonl())
-    return 0
 
 
 def _cmd_refine(args, scheme):
+    from .llm import elicit_graph, refine
+
     backend = _make_backend(args)
-    if backend is None:
-        backend = fixtures.refinement_replay_backend()
     dag, session = elicit_graph("single", scheme, backend)
     print("current edges:")
     for u, v in sorted(dag.edges):
@@ -225,12 +232,13 @@ def _cmd_refine(args, scheme):
     _write(args.out_graph, serialize_graph(Dag(scheme, frozenset(edges)), "json"))
     if args.out_transcript:
         _write(args.out_transcript, session.to_jsonl())
-    return 0
 
 
 def _cmd_discover(args, scheme):
     data = _load_dataset(args.data, scheme)
     if args.algo == "pc":
+        from .pc import pc_run
+
         graph = pc_run(
             data,
             alpha_level=args.alpha,
@@ -242,6 +250,8 @@ def _cmd_discover(args, scheme):
         except CycleError:
             print("warning: the edges PC directed form a cycle", file=sys.stderr)
     else:
+        from .notears import NotearsConfig, notears_fit
+
         config = NotearsConfig(
             max_iter=args.max_iter,
             h_tol=args.h_tol,
@@ -257,115 +267,104 @@ def _cmd_discover(args, scheme):
             )
     fmt = "dot" if args.out.endswith(".dot") else "json"
     _write(args.out, serialize_graph(graph, fmt))
-    return 0
+
+
+def _score_table(args, scheme, paths) -> str:
+    """BDeu of each graph file at each --ess value, as one printed table."""
+    from .scoring import bdeu_total, score_table
+
+    data = _load_dataset(args.data, scheme)
+    ess_values = [float(v) for v in str(args.ess).split(",")]
+    reports = {}
+    for path in paths:
+        graph = _load_graph(path, scheme)
+        if isinstance(graph, Pdag):
+            raise ToolkitError(f"{path}: scoring needs a fully directed graph")
+        reports[Path(path).stem] = [
+            bdeu_total(graph, data, ess, args.variant) for ess in ess_values
+        ]
+    return score_table(reports)
 
 
 def _cmd_score(args, scheme):
-    data = _load_dataset(args.data, scheme)
-    graph = _load_graph(args.graph, scheme)
-    if isinstance(graph, Pdag):
-        raise ToolkitError("scoring needs a fully directed graph")
-    reports = [
-        bdeu_total(graph, data, ess, args.variant) for ess in _ess_list(args.ess)
-    ]
-    table = score_table({Path(args.graph).stem: reports})
+    table = _score_table(args, scheme, [args.graph])
     print(table, end="")
     if args.out:
         _write(args.out, table)
-    return 0
+
+
+def _cmd_compare(args, scheme):
+    print(_score_table(args, scheme, args.graphs), end="")
+
+
+def _cmd_fit(args, scheme):
+    from .bayesnet import fit_cpds
+
+    data = _load_dataset(args.data, scheme)
+    net = fit_cpds(_load_graph(args.graph, scheme), data, args.ess)
+    _write(args.out, net.to_json())
 
 
 def _cmd_ate(args, scheme):
+    from .bayesnet import fit_cpds
+    from .intervention import ate_grid
+
     if args.network:
         net = _load_network(args.network)
+    elif not (args.graph and args.data):
+        raise ToolkitError("ate needs --network or --graph plus --data")
     else:
-        if not (args.graph and args.data):
-            raise ToolkitError("ate needs --network or --graph plus --data")
         data = _load_dataset(args.data, scheme)
         net = fit_cpds(_load_graph(args.graph, scheme), data, args.ess)
     grid = ate_grid(net)
     print(grid.to_text(), end="")
     if args.out:
         _write(args.out, grid.to_csv())
-    return 0
 
 
-def _apply_config(parser, argv):
-    # Flags override config values, so config supplies parser defaults only.
-    # The pre-parser reads both `--config PATH` and `--config=PATH`; a
-    # trailing --config with no value is a usage error it reports itself.
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is not None:
-        config = _read(path, json.loads)
+def _cmd_export_dot(args, scheme):
+    _write(args.out, serialize_graph(_load_graph(args.graph, scheme), "dot"))
+
+
+def _apply_config(parser, path):
+    """Config values become the defaults of every parser, so flags override them."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    parsers = (parser, *sub.choices.values())
+    known = {a.dest for p in parsers for a in p._actions} - {"help", "command"}
+
+    def parse(text):
+        config = json.loads(text)
         if not isinstance(config, dict):
-            raise ToolkitError(f"{path}: config must be a JSON object")
-        parser.set_defaults(**config)
+            raise ToolkitError("config must be a JSON object")
+        for key in config:
+            if key not in known:
+                raise ToolkitError(f"unknown config key {key!r}")
+        return config
+
+    config = _read(path, parse)
+    for p in parsers:
+        p.set_defaults(**config)
 
 
 def dispatch(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        _apply_config(parser, list(argv))
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
+        try:
+            args = parser.parse_args(argv)
+            if getattr(args, "config", None) is not None:
+                _apply_config(parser, args.config)
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 1 if exc.code else 0
+        if not args.command:
+            parser.print_usage(sys.stderr)
+            return 1
+        args.handler(args, _load_scheme(getattr(args, "scheme", None)))
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # Global flags keep SUPPRESS defaults so the subparser pass cannot
-    # clobber a value given before the subcommand; fill fallbacks here.
-    for name, fallback in (("config", None), ("seed", 0), ("scheme", None)):
-        if not hasattr(args, name):
-            setattr(args, name, fallback)
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        scheme = _load_scheme(args.scheme)
-        if args.command == "ingest":
-            data = _load_dataset(args.csv, scheme)
-            _write(args.out, write_csv(data))
-        elif args.command == "cohort":
-            spec = CohortSpec.nsclc_default(args.n, args.seed)
-            _write(args.out, write_csv(generate_cohort(spec, scheme)))
-        elif args.command == "sample":
-            net = _load_network(args.network)
-            _write(args.out, write_csv(sample_from_network(net, args.n, args.seed)))
-        elif args.command == "elicit":
-            return _cmd_elicit(args, scheme)
-        elif args.command == "refine":
-            return _cmd_refine(args, scheme)
-        elif args.command == "discover":
-            return _cmd_discover(args, scheme)
-        elif args.command == "score":
-            return _cmd_score(args, scheme)
-        elif args.command == "fit":
-            data = _load_dataset(args.data, scheme)
-            net = fit_cpds(_load_graph(args.graph, scheme), data, args.ess)
-            _write(args.out, net.to_json())
-        elif args.command == "ate":
-            return _cmd_ate(args, scheme)
-        elif args.command == "compare":
-            data = _load_dataset(args.data, scheme)
-            reports = {}
-            for path in args.graphs:
-                graph = _load_graph(path, scheme)
-                reports[Path(path).stem] = [
-                    bdeu_total(graph, data, ess, args.variant)
-                    for ess in _ess_list(args.ess)
-                ]
-            print(score_table(reports), end="")
-        elif args.command == "export-dot":
-            graph = _load_graph(args.graph, scheme)
-            _write(args.out, serialize_graph(graph, "dot"))
-        return 0
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 def main() -> None:

@@ -312,6 +312,9 @@ def parse_graph_json(text: str, scheme: VariableScheme | None = None):
     payload = json.loads(text)
     if scheme is None:
         scheme = scheme_from_json(payload)
+    elif isinstance(payload, dict) and "variables" in payload:
+        if scheme_from_json(payload) != scheme:
+            raise SchemaMismatch("the graph's variables differ from the scheme")
     if not isinstance(payload, dict) or "directed" not in payload:
         raise SchemaMismatch('graph JSON must be an object with a "directed" list')
     directed = frozenset(_edge_pairs(payload["directed"], len(scheme)))

@@ -354,10 +354,6 @@ def parse_adjacency_response(completion: str, scheme: VariableScheme):
     return matrix, unparsed
 
 
-def _draft_to_dag(scheme: VariableScheme, edges) -> Dag:
-    return Dag(scheme, frozenset(edges))
-
-
 def _edge_diff(old, new) -> dict:
     old, new = set(old), set(new)
     return {
@@ -429,5 +425,5 @@ def elicit_graph(
         matrix, _ = parse_adjacency_response(completion, scheme)
         edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(matrix))}
         transcript = transcript.with_draft(edges)
-        return _draft_to_dag(scheme, edges), transcript
+        return Dag(scheme, frozenset(edges)), transcript
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from causalkit.errors import (
     UnparameterizedNetwork,
     ZeroEvidenceProbability,
 )
-from causalkit.graph import Dag
+from causalkit.graph import Dag, serialize_graph
 from causalkit.synth import random_network
 
 from conftest import binary_scheme
@@ -182,6 +184,28 @@ class TestSerialization:
         for name, cpd in confounded_net.cpds.items():
             assert back.cpds[name].parents == cpd.parents
             assert np.allclose(back.cpds[name].table, cpd.table)
+
+    def test_to_json_one_line_per_cpd_and_exact_round_trip(self, confounded_net):
+        awkward = np.array([[1 / 3, 2 / 3], [1e-300, 1 - 1e-300]])
+        awkward = np.vstack([awkward, [[0.1 + 0.2, 1 - (0.1 + 0.2)], [0.5, 0.5]]])
+        cpds = {**confounded_net.cpds, "Y": Cpd("Y", ("M", "T"), awkward)}
+        net = BayesianNetwork(confounded_net.dag, cpds)
+        text = net.to_json()
+        payload = {
+            "dag": json.loads(serialize_graph(net.dag, "json")),
+            "cpds": {
+                name: {"parents": list(c.parents), "table": c.table.tolist()}
+                for name, c in net.cpds.items()
+            },
+        }
+        assert json.loads(text) == json.loads(json.dumps(payload, indent=2))
+        lines = text.splitlines()
+        assert len(lines) == len(net.cpds) + 5
+        for line, name in zip(lines[3:-2], net.cpds):
+            assert line.startswith(f'    "{name}": {{"parents": ')
+        back = BayesianNetwork.from_json(text)
+        for name, cpd in net.cpds.items():
+            assert back.cpds[name].table.tobytes() == cpd.table.tobytes()
 
     def test_cpd_to_factor_scope(self, confounded_net):
         f = cpd_to_factor(confounded_net, "Y")

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from causalkit import cli, nsclc
+import causalkit
+from causalkit import nsclc, pc
 from causalkit.cli import dispatch
 from causalkit.graph import Dag, Pdag, parse_graph_json, serialize_graph
 from causalkit.synth import reference_network, sample_from_network
@@ -46,13 +51,14 @@ class TestExitCodes:
         code = dispatch(["ingest", "--csv", str(short), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line 2:")
+        assert err.startswith(f"error: {short}: line 2:")
         assert "Traceback" not in err
         width = len(nsclc.SCHEME.names)
         short.write_text(",".join(nsclc.SCHEME.names) + "\n" + "x," * width + "x\n")
         code = dispatch(["ingest", "--csv", str(short), "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: line 2: {width + 1} fields")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {short}: line 2: {width + 1} fields")
         assert not out.exists()
 
     def test_config_without_value_is_usage_error(self, tmp_path, capsys):
@@ -139,6 +145,42 @@ class TestExitCodes:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists() and not (workdir / "nodir").exists()
 
+    @pytest.mark.parametrize(
+        "case", ["third-graph", "graph-variables-reversed", "config-unknown-key", "pdag"]
+    )
+    def test_data_error_names_its_file(self, workdir, capsys, case):
+        graph = json.loads((workdir / "v1.json").read_text())
+        v1, data = str(workdir / "v1.json"), str(workdir / "data.csv")
+        v5, bad, out = workdir / "v5.json", workdir / "bad.json", workdir / "out.txt"
+        v5.write_text(serialize_graph(nsclc.v5_dag(), "json"))
+        compare = ["compare", "--graphs", v1, str(v5), str(bad), "--data", data]
+        pdag = Pdag(nsclc.SCHEME, frozenset(), frozenset({frozenset({0, 1})}))
+        content, argv, message = {
+            "third-graph": ({"variables": []}, compare, None),
+            "graph-variables-reversed": (
+                {**graph, "variables": graph["variables"][::-1]},
+                ["export-dot", "--graph", str(bad), "--out", str(out)],
+                "the graph's variables differ from the scheme",
+            ),
+            "config-unknown-key": (
+                {"seed": 3, "bogus_key": 1},
+                ["cohort", "--n", "5", "--out", str(out), "--config", str(bad)],
+                "unknown config key 'bogus_key'",
+            ),
+            "pdag": (
+                json.loads(serialize_graph(pdag, "json")),
+                compare,
+                "scoring needs a fully directed graph",
+            ),
+        }[case]
+        bad.write_text(json.dumps(content))
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1
+        if message is not None:
+            assert err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
 
 class TestCohort:
     def test_writes_csv_with_default_size(self, tmp_path, capsys):
@@ -166,6 +208,16 @@ class TestCohort:
         dispatch(["cohort", "--out", str(b), "--seed", "9"])
         dispatch(["cohort", "--out", str(c), f"--config={config}"])
         assert a.read_text() == b.read_text() == c.read_text()
+
+    def test_config_sets_subcommand_options(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 12}))
+        out = tmp_path / "a.csv"
+        assert dispatch(["cohort", "--out", str(out), "--config", str(config)]) == 0
+        assert len(out.read_text().splitlines()) == 13
+        argv = ["cohort", "--out", str(out), "--n", "7", "--config", str(config)]
+        assert dispatch(argv) == 0
+        assert len(out.read_text().splitlines()) == 8
 
 
 class TestIngestAndSample:
@@ -347,7 +399,7 @@ class TestDiscover:
 
     def test_pc_directed_cycle_warns(self, workdir, capsys, monkeypatch):
         cyclic = Pdag(nsclc.SCHEME, frozenset({(0, 1), (1, 2), (2, 0)}))
-        monkeypatch.setattr(cli, "pc_run", lambda data, **kwargs: cyclic)
+        monkeypatch.setattr(pc, "pc_run", lambda data, **kwargs: cyclic)
         out = workdir / "pc.json"
         argv = ["discover", "--algo", "pc", "--data", str(workdir / "data.csv")]
         assert dispatch(argv + ["--out", str(out)]) == 0
@@ -395,6 +447,50 @@ class TestExportDot:
         assert code == 0
         text = out.read_text()
         assert '"AGE" -> "TREATMENTPLAN";' in text
+
+
+class TestImports:
+    SCRIPT = textwrap.dedent(
+        """
+        import json, sys
+        from causalkit.cli import dispatch
+
+        def loaded(*names):
+            return sorted(
+                m for m in sys.modules
+                if any(m == n or m.startswith(n + ".") for n in names)
+            )
+
+        graph, data, out = sys.argv[1:]
+        seen = {"import": loaded("scipy", *(f"causalkit.{m}" for m in
+                                            ("notears", "pc", "scoring")))}
+        assert dispatch(["export-dot", "--graph", graph, "--out", out + ".dot"]) == 0
+        seen["export-dot"] = loaded("scipy")
+        argv = ["fit", "--graph", graph, "--data", data, "--out", out + ".json"]
+        assert dispatch(argv) == 0
+        seen["fit"] = loaded("scipy")
+        argv = ["discover", "--algo", "pc", "--data", data, "--max-cond-size", "1"]
+        assert dispatch(argv + ["--out", out + ".pc.json"]) == 0
+        seen["pc"] = loaded("scipy.linalg", "scipy.optimize")
+        seen["pc-ran"] = loaded("causalkit.pc", "scipy.special") != []
+        print(json.dumps(seen))
+        """
+    )
+
+    def test_each_subcommand_imports_only_what_it_runs(self, workdir):
+        src = str(Path(causalkit.__file__).resolve().parents[1])
+        argv = [str(workdir / name) for name in ("v1.json", "data.csv", "out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {
+            "import": [], "export-dot": [], "fit": [], "pc": [], "pc-ran": True
+        }
 
 
 class TestDeterminism:

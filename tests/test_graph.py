@@ -208,6 +208,17 @@ class TestSerialization:
         with pytest.raises(SchemaMismatch):
             parse_graph_json(json.dumps(payload))
 
+    def test_json_variables_must_match_given_scheme(self):
+        s = binary_scheme(3)
+        text = serialize_graph(Dag.from_names(s, [("X0", "X1")]), "json")
+        assert parse_graph_json(text, s).edges == {(0, 1)}
+        payload = json.loads(text)
+        payload["variables"].reverse()
+        with pytest.raises(SchemaMismatch):
+            parse_graph_json(json.dumps(payload), s)
+        del payload["variables"]
+        assert parse_graph_json(json.dumps(payload), s).edges == {(0, 1)}
+
 
 class TestPdag:
     def test_disjoint_sets_enforced(self):
