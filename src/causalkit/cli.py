@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -69,21 +70,56 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # Global flags are accepted before and after the subcommand. SUPPRESS
-    # defaults stop the subparser pass clobbering an earlier value (use getattr).
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _number(kind, low, high=math.inf, closed=False):
+    """An argparse type: a `kind` in (low, high), or in [low, high) if closed,
+    so an out-of-range value is a usage error."""
+    span = f"{'[' if closed else '('}{low:g}, {high:g})"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not (low <= value if closed else low < value) or not value < high:
+            raise argparse.ArgumentTypeError(f"{text} is not in {span}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _number(float, 0)
+_UNIT_INTERVAL = _number(float, 0, 1)
+_NON_NEGATIVE_INT = _number(int, 0, closed=True)
+
+
+def _ess_list(text):
+    return [_POSITIVE(value) for value in text.split(",")]
+
+
+def _global_flags() -> argparse.ArgumentParser:
+    # Accepted before and after the subcommand. SUPPRESS defaults stop the
+    # subparser pass clobbering an earlier value (use getattr).
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
         "--config", help="JSON config file with defaults", default=argparse.SUPPRESS
     )
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument(
+    flags.add_argument("--seed", type=_NON_NEGATIVE_INT, default=argparse.SUPPRESS)
+    flags.add_argument(
         "--scheme",
         help="variable scheme JSON (default: NSCLC)",
         default=argparse.SUPPRESS,
     )
-    parser = argparse.ArgumentParser(prog="causalkit", parents=[common])
+    return flags
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # The top-level parser gets its own copy of the global flags, so that a
+    # config default set on it (see _apply_config) leaves the subparsers' alone.
+    parser = argparse.ArgumentParser(prog="causalkit", parents=[_global_flags()])
     sub = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
+    common = _global_flags()
 
     def add_parser(name, handler, text, *parents):
         p = sub.add_parser(name, parents=[common, *parents], help=text)
@@ -99,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     llm.add_argument("--out-transcript")
     bdeu = argparse.ArgumentParser(add_help=False)
     bdeu.add_argument("--data", required=True)
-    bdeu.add_argument("--ess", default="5,10,15")
+    bdeu.add_argument("--ess", type=_ess_list, default="5,10,15")
     bdeu.add_argument("--variant", choices=("paper", "canonical"), default="canonical")
 
     p = add_parser("ingest", _cmd_ingest, "encode a raw CSV into dataset form")
@@ -112,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("sample", _cmd_sample, "ancestral-sample from a network file")
     p.add_argument("--network", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_NON_NEGATIVE_INT, required=True)
     p.add_argument("--out", required=True)
 
     p = add_parser("elicit", _cmd_elicit, "LLM graph elicitation", llm)
@@ -124,13 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("pc", "notears"), required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-cond-size", type=int)
+    p.add_argument("--alpha", type=_UNIT_INTERVAL, default=0.05)
+    p.add_argument("--max-cond-size", type=_NON_NEGATIVE_INT)
     p.add_argument("--ci-test", choices=("g2", "chi2"), default="g2")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--h-tol", type=float, default=1e-8)
-    p.add_argument("--w-threshold", type=float, default=0.5)
-    p.add_argument("--l1", type=float, default=0.1)
+    p.add_argument("--max-iter", type=_number(int, 0), default=100)
+    p.add_argument("--h-tol", type=_UNIT_INTERVAL, default=1e-8)
+    p.add_argument("--w-threshold", type=_POSITIVE, default=0.5)
+    p.add_argument("--l1", type=_number(float, 0, closed=True), default=0.1)
 
     p = add_parser("score", _cmd_score, "Bdeu score a graph against data", bdeu)
     p.add_argument("--graph", required=True)
@@ -139,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("fit", _cmd_fit, "fit CPDs and write a network file")
     p.add_argument("--graph", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--ess", type=float, default=10.0)
+    p.add_argument("--ess", type=_POSITIVE, default=10.0)
     p.add_argument("--out", required=True)
 
     p = add_parser("ate", _cmd_ate, "average treatment effects")
     p.add_argument("--network")
     p.add_argument("--graph")
     p.add_argument("--data")
-    p.add_argument("--ess", type=float, default=10.0)
+    p.add_argument("--ess", type=_POSITIVE, default=10.0)
     p.add_argument("--grid", action="store_true")
     p.add_argument("--out")
 
@@ -258,11 +294,13 @@ def _cmd_discover(args, scheme):
             w_threshold=args.w_threshold,
             l1_penalty=args.l1,
         )
-        graph = notears_fit(data, config).dag
+        result = notears_fit(data, config)
+        graph = result.dag
         if not graph.edges:
             print(
-                "warning: NOTEARS learned 0 edges "
-                f"(no weight reached --w-threshold {args.w_threshold:g})",
+                "warning: NOTEARS learned 0 edges (largest |w| "
+                f"{abs(result.raw.w).max():.3g} is below --w-threshold "
+                f"{args.w_threshold:g})",
                 file=sys.stderr,
             )
     fmt = "dot" if args.out.endswith(".dot") else "json"
@@ -274,14 +312,13 @@ def _score_table(args, scheme, paths) -> str:
     from .scoring import bdeu_total, score_table
 
     data = _load_dataset(args.data, scheme)
-    ess_values = [float(v) for v in str(args.ess).split(",")]
     reports = {}
     for path in paths:
         graph = _load_graph(path, scheme)
         if isinstance(graph, Pdag):
             raise ToolkitError(f"{path}: scoring needs a fully directed graph")
         reports[Path(path).stem] = [
-            bdeu_total(graph, data, ess, args.variant) for ess in ess_values
+            bdeu_total(graph, data, ess, args.variant) for ess in args.ess
         ]
     return score_table(reports)
 
@@ -327,10 +364,14 @@ def _cmd_export_dot(args, scheme):
 
 
 def _apply_config(parser, path):
-    """Config values become the defaults of every parser, so flags override them."""
+    """Config values become parser defaults, so a flag given anywhere on the
+    command line overrides them. Global keys go to the top-level parser only:
+    a subparser default would overwrite a global flag given before the
+    subcommand."""
     sub = next(a for a in parser._actions if a.dest == "command")
-    parsers = (parser, *sub.choices.values())
-    known = {a.dest for p in parsers for a in p._actions} - {"help", "command"}
+    subparsers = tuple(sub.choices.values())
+    top = {a.dest for a in parser._actions} - {"help", "command"}
+    known = top | {a.dest for p in subparsers for a in p._actions} - {"help"}
 
     def parse(text):
         config = json.loads(text)
@@ -342,8 +383,15 @@ def _apply_config(parser, path):
         return config
 
     config = _read(path, parse)
-    for p in parsers:
-        p.set_defaults(**config)
+    for p in (parser, *subparsers):
+        # argparse passes a string default through the option's type, which
+        # checks a config value exactly as it checks a flag.
+        typed = {a.dest for a in p._actions if a.type is not None}
+        p.set_defaults(**{
+            key: str(value) if key in typed else value
+            for key, value in config.items()
+            if (key in top) == (p is parser)
+        })
 
 
 def dispatch(argv=None) -> int:

@@ -2,8 +2,10 @@
 
 Minimizes a least-squares reconstruction loss with an l1 penalty subject to
 the smooth acyclicity constraint h(W) = tr(e^{W∘W}) - d = 0, handled by an
-augmented Lagrangian with an L-BFGS-B inner solver.  The matrix exponential
-uses scipy's scaling-and-squaring Pade implementation (expm).
+augmented Lagrangian with an L-BFGS-B inner solver.  The loss depends on
+the data only through C = X^T X / N, formed once per fit, so the inner
+solver never touches the rows.  The matrix exponential uses scipy's
+scaling-and-squaring Pade implementation (expm).
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class NotearsConfig:
             raise ValueError("config values must be positive")
         if self.h_tol >= 1:
             raise ValueError("h_tol must be < 1")
+        if self.rho_init >= self.rho_max:
+            raise ValueError("rho_init must be < rho_max")
 
 
 @dataclass(frozen=True)
@@ -106,13 +110,22 @@ def standardize(matrix: np.ndarray, scale: bool = False) -> np.ndarray:
     return out
 
 
-def _solve_subproblem(w0, x, l1, rho, alpha, d):
+def _gram_loss(w: np.ndarray, c: np.ndarray):
+    """The smooth part of objective_and_grad from C = X^T X / N alone:
+    0.5 tr(R^T C R) and its gradient -C R, with R = I - W."""
+    r = np.eye(len(c)) - w
+    cr = c @ r
+    return 0.5 * float((r * cr).sum()), -cr
+
+
+def _solve_subproblem(w0, c, l1, rho, alpha, bounds):
     """Inner minimization of loss + (rho/2) h^2 + alpha h, with |W| split
     into positive and negative parts so L-BFGS-B handles the l1 term."""
+    d = len(c)
 
     def func(theta):
         w = (theta[: d * d] - theta[d * d:]).reshape(d, d)
-        loss, grad_smooth = objective_and_grad(w, x, 0.0)
+        loss, grad_smooth = _gram_loss(w, c)
         h, grad_h = acyclicity_h(w)
         value = loss + 0.5 * rho * h * h + alpha * h + l1 * theta.sum()
         grad_w = grad_smooth + (rho * h + alpha) * grad_h
@@ -120,7 +133,6 @@ def _solve_subproblem(w0, x, l1, rho, alpha, d):
         return value, grad
 
     theta0 = np.concatenate([np.maximum(w0, 0).ravel(), np.maximum(-w0, 0).ravel()])
-    bounds = [(0, 0) if i == j else (0, None) for _ in range(2) for i in range(d) for j in range(d)]
     result = sopt.minimize(
         func,
         theta0,
@@ -149,6 +161,8 @@ def notears_fit(
             raise ShapeError("raw matrix input requires a scheme")
         x = standardize(data)
     d = len(scheme)
+    c = x.T @ x / x.shape[0]
+    bounds = [(0, 0) if i == j else (0, None) for _ in range(2) for i in range(d) for j in range(d)]
 
     w = np.zeros((d, d))
     rho, alpha = config.rho_init, config.alpha_init
@@ -156,7 +170,7 @@ def notears_fit(
     for _ in range(config.max_iter):
         h_prev = h
         while rho < config.rho_max:
-            w_new = _solve_subproblem(w, x, config.l1_penalty, rho, alpha, d)
+            w_new = _solve_subproblem(w, c, config.l1_penalty, rho, alpha, bounds)
             h_new, _ = acyclicity_h(w_new)
             if h_new > 0.25 * h_prev:
                 rho *= 10.0

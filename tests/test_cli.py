@@ -70,6 +70,65 @@ class TestExitCodes:
         assert "--config" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            pytest.param(["--algo", "notears", "--h-tol", "0"], "--h-tol", id="h-tol-0"),
+            pytest.param(["--algo", "notears", "--h-tol", "1"], "--h-tol", id="h-tol-1"),
+            pytest.param(
+                ["--algo", "notears", "--max-iter", "0"], "--max-iter", id="max-iter-0"
+            ),
+            pytest.param(
+                ["--algo", "notears", "--w-threshold", "0"], "--w-threshold",
+                id="w-threshold-0",
+            ),
+            pytest.param(["--algo", "notears", "--l1", "-1"], "--l1", id="l1-negative"),
+            pytest.param(["--algo", "pc", "--alpha", "0"], "--alpha", id="alpha-0"),
+            pytest.param(["--algo", "pc", "--alpha", "1.5"], "--alpha", id="alpha-1.5"),
+            pytest.param(
+                ["--algo", "pc", "--max-cond-size", "-1"], "--max-cond-size",
+                id="max-cond-size-negative",
+            ),
+            pytest.param(
+                ["--algo", "pc", "--config", "alpha.json"], "--alpha",
+                id="config-alpha-1.5",
+            ),
+            pytest.param(
+                ["--algo", "pc", "--config", "null.json"], "--alpha",
+                id="config-alpha-null",
+            ),
+            pytest.param(["--algo", "pc", "--seed", "-1"], "--seed", id="seed-negative"),
+            pytest.param(["fit", "--graph", "v1.json", "--ess", "0"], "--ess", id="fit-ess-0"),
+            pytest.param(
+                ["score", "--graph", "v1.json", "--ess", "x"], "--ess", id="score-ess-x"
+            ),
+            pytest.param(
+                ["score", "--graph", "v1.json", "--ess", "5,0"], "--ess",
+                id="score-ess-list-0",
+            ),
+            pytest.param(
+                ["sample", "--network", "net.json", "--n", "-3"], "--n",
+                id="sample-n-negative",
+            ),
+        ],
+    )
+    def test_out_of_range_option_is_usage_error(
+        self, workdir, capsys, monkeypatch, argv, option
+    ):
+        monkeypatch.chdir(workdir)
+        (workdir / "alpha.json").write_text(json.dumps({"alpha": 1.5}))
+        (workdir / "null.json").write_text(json.dumps({"alpha": None}))
+        if argv[0] == "--algo":
+            argv = ["discover", *argv, "--data", "data.csv"]
+        elif argv[0] != "sample":
+            argv = [*argv, "--data", "data.csv"]
+        assert dispatch([*argv, "--out", "out.json"]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {option}:" in errors[0]
+        assert "Traceback" not in err
+        assert not (workdir / "out.json").exists()
+
     @pytest.mark.parametrize("kind", ["data", "graph", "network", "config", "scheme"])
     def test_unreadable_input_file_is_2(self, workdir, capsys, kind):
         graph, out = str(workdir / "v1.json"), workdir / "out.txt"
@@ -208,6 +267,17 @@ class TestCohort:
         dispatch(["cohort", "--out", str(b), "--seed", "9"])
         dispatch(["cohort", "--out", str(c), f"--config={config}"])
         assert a.read_text() == b.read_text() == c.read_text()
+
+    def test_global_flag_beats_config(self, tmp_path):
+        config = tmp_path / "s9.json"
+        config.write_text(json.dumps({"seed": 9}))
+        a, b, c, d = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv", "d.csv"))
+        cohort = ["cohort", "--n", "20", "--out"]
+        assert dispatch(["--seed", "5", *cohort, str(a), "--config", str(config)]) == 0
+        assert dispatch(["--config", str(config), "--seed", "5", *cohort, str(b)]) == 0
+        assert dispatch([*cohort, str(c), "--seed", "5"]) == 0
+        assert dispatch([*cohort, str(d), "--seed", "9"]) == 0
+        assert a.read_text() == b.read_text() == c.read_text() != d.read_text()
 
     def test_config_sets_subcommand_options(self, tmp_path):
         config = tmp_path / "config.json"
@@ -434,7 +504,8 @@ class TestDiscover:
             line for line in capsys.readouterr().err.splitlines() if "warning" in line
         ]
         assert warnings == [
-            "warning: NOTEARS learned 0 edges (no weight reached --w-threshold 100)"
+            "warning: NOTEARS learned 0 edges "
+            "(largest |w| 0.44 is below --w-threshold 100)"
         ]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from causalkit import notears
 from causalkit.errors import ShapeError
 from causalkit.graph import Dag
 from causalkit.notears import (
@@ -12,7 +13,7 @@ from causalkit.notears import (
     standardize,
 )
 from causalkit.pc import dag_to_cpdag, structural_hamming_distance
-from causalkit.synth import random_network, sample_from_network
+from causalkit.synth import random_network, reference_network, sample_from_network
 
 from conftest import binary_scheme
 
@@ -94,6 +95,40 @@ class TestObjective:
             objective_and_grad(np.zeros((2, 2)), np.zeros((5, 3)), 0.1)
 
 
+class TestGramLoss:
+    """The fit's loss from C = X^T X / N against the row-form oracle."""
+
+    def test_matches_row_form(self):
+        rng = np.random.default_rng(4)
+        for n, d in ((50, 3), (400, 7)):
+            x = standardize(rng.normal(size=(n, d)))
+            for _ in range(3):
+                w = rng.normal(scale=0.5, size=(d, d))
+                loss, grad = notears._gram_loss(w, x.T @ x / n)
+                row_loss, row_grad = objective_and_grad(w, x, 0.0)
+                assert loss == pytest.approx(row_loss, rel=1e-10)
+                assert np.abs(grad - row_grad).max() <= 1e-10 * np.abs(row_grad).max()
+
+    def test_fit_matches_row_form_fit(self, monkeypatch):
+        data = sample_from_network(reference_network(7), 326, 11)
+        gram = notears_fit(data)
+        x = standardize(data.rows)
+        calls = []
+
+        def row_form(w, c):
+            calls.append(1)
+            return objective_and_grad(w, x, 0.0)
+
+        monkeypatch.setattr(notears, "_gram_loss", row_form)
+        rows = notears_fit(data)
+        assert calls
+        assert gram.dag.edges == rows.dag.edges
+        assert gram.converged == rows.converged
+        assert gram.repaired_edges == rows.repaired_edges
+        # L-BFGS-B (gtol 1e-6) may stop one step apart on the two paths.
+        assert np.abs(gram.raw.w - rows.raw.w).max() <= 1e-6
+
+
 class TestStandardize:
     def test_centers_columns(self):
         x = np.array([[1.0, 10.0], [3.0, 30.0]])
@@ -124,6 +159,8 @@ class TestConfig:
             NotearsConfig(l1_penalty=-0.1)
         with pytest.raises(ValueError):
             NotearsConfig(h_tol=2.0)
+        with pytest.raises(ValueError):
+            NotearsConfig(rho_init=1e17)
 
 
 class TestFit:
