@@ -100,8 +100,12 @@ def _ess_list(text):
 
 def _global_flags() -> argparse.ArgumentParser:
     # Accepted before and after the subcommand. SUPPRESS defaults stop the
-    # subparser pass clobbering an earlier value (use getattr).
-    flags = argparse.ArgumentParser(add_help=False)
+    # subparser pass clobbering an earlier value (use getattr). Read alone in
+    # dispatch, they take exact spellings only, so that no abbreviation the
+    # full parser would call ambiguous names the config file.
+    flags = argparse.ArgumentParser(
+        prog="causalkit", add_help=False, allow_abbrev=False
+    )
     flags.add_argument(
         "--config", help="JSON config file with defaults", default=argparse.SUPPRESS
     )
@@ -143,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add_parser("cohort", _cmd_cohort, "synthesize a cohort from marginals")
-    p.add_argument("--n", type=int, default=nsclc.COHORT_SIZE)
+    p.add_argument("--n", type=_number(int, 0), default=nsclc.COHORT_SIZE)
     p.add_argument("--out", required=True)
 
     p = add_parser("sample", _cmd_sample, "ancestral-sample from a network file")
@@ -383,28 +387,59 @@ def _apply_config(parser, path):
         return config
 
     config = _read(path, parse)
-    for p in (parser, *subparsers):
-        # argparse passes a string default through the option's type, which
-        # checks a config value exactly as it checks a flag.
-        typed = {a.dest for a in p._actions if a.type is not None}
-        p.set_defaults(**{
-            key: str(value) if key in typed else value
-            for key, value in config.items()
-            if (key in top) == (p is parser)
-        })
+    given = [
+        (p, a)
+        for p in (parser, *subparsers)
+        for a in p._actions
+        if a.dest in config and (a.dest in top) == (p is parser)
+    ]
+    for _, a in given:
+        a.required = False  # the file stands in for the flag
+    for p, a in given:
+        p.set_defaults(**{a.dest: _config_value(p, a, config[a.dest])})
+
+
+def _config_value(parser, action, value):
+    """A config value checked as the flag's would be. A typed value goes on as
+    a string, which argparse parses with the type if the subcommand uses it."""
+    if action.type is not None:
+        return str(value)
+    if action.nargs == 0:
+        form, fits = "true or false", isinstance(value, bool)
+    elif action.nargs is None:
+        form, fits = "a string", isinstance(value, str)
+    else:
+        form = "a list of strings"
+        fits = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if not fits:
+        raise argparse.ArgumentError(
+            action, f"config value {json.dumps(value)} is not {form}"
+        )
+    parser._check_value(action, value)  # the choices, with argparse's message
+    return value
 
 
 def dispatch(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        problem = None
         try:
+            path = getattr(_global_flags().parse_known_args(argv)[0], "config", None)
+            if path is not None:
+                try:
+                    _apply_config(parser, path)
+                except (ToolkitError, argparse.ArgumentError) as exc:
+                    problem = exc  # the command line's own errors come first
             args = parser.parse_args(argv)
-            if getattr(args, "config", None) is not None:
-                _apply_config(parser, args.config)
-                args = parser.parse_args(argv)
+            if getattr(args, "config", None) != path:
+                parser.error("argument --config: give the option in full")
+            if isinstance(problem, argparse.ArgumentError):
+                parser.error(str(problem))
         except SystemExit as exc:
             return 1 if exc.code else 0
+        if problem is not None:
+            raise problem
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1

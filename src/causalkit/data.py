@@ -102,7 +102,6 @@ def load_csv(
     source,
     scheme: VariableScheme,
     discretization: DiscretizationSpec | None = None,
-    delimiter: str = ",",
 ):
     """Parse a CSV byte/text stream into a CategoricalDataset.
 
@@ -115,7 +114,7 @@ def load_csv(
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     source = io.StringIO(source)
-    reader = csv.reader(source, delimiter=delimiter)
+    reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
@@ -177,10 +176,10 @@ def _encode_cell(cell, name, scheme, discretization):
     raise SchemaMismatch(f"{name}: unmapped state label {cell!r}")
 
 
-def write_csv(data: CategoricalDataset, delimiter: str = ",") -> str:
+def write_csv(data: CategoricalDataset) -> str:
     """Inverse of load_csv on encoded datasets (state labels, no numerics)."""
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(data.scheme.names)
     states = [data.scheme.states(i) for i in range(len(data.scheme))]
     for row in data.rows:

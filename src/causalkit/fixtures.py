@@ -19,6 +19,7 @@ from .llm import (
     pairwise_prompts,
     refine,
     render_pairwise_prompt,
+    render_refine_prompt,
     render_single_prompt,
 )
 
@@ -166,11 +167,7 @@ def refinement_replay_backend() -> ReplayBackend:
     for correction, edge_fn in zip(REFINEMENT_CORRECTIONS, REFINEMENT_DRAFT_EDGES):
         reply = edges_to_reply(edge_fn())
         _, current = session.latest_draft
-        edge_text = "; ".join(
-            f"{scheme.names[u]} -> {scheme.names[v]}" for u, v in current
-        )
-        prompt = f"{correction}\nCurrent edges: {edge_text}"
-        exchanges[prompt] = reply
+        exchanges[render_refine_prompt(correction, current, scheme)] = reply
         backend = ReplayBackend(exchanges)
         session = refine(session, correction, backend, scheme)
     return ReplayBackend(exchanges)

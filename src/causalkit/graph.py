@@ -8,6 +8,7 @@ the scheme's variable order.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 
@@ -71,6 +72,25 @@ class VariableScheme:
             ) from None
 
 
+def _smallest_first_order(children) -> list[int]:
+    """Kahn's algorithm, always taking the smallest ready index; the order is
+    shorter than len(children) iff the edges have a directed cycle."""
+    indegree = [0] * len(children)
+    for heads in children:
+        for v in heads:
+            indegree[v] += 1
+    ready = [v for v, d in enumerate(indegree) if d == 0]
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
+        for v in children[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                heapq.heappush(ready, v)
+    return order
+
+
 def is_acyclic(adjacency) -> bool:
     """True iff the 0/1 adjacency matrix describes a cycle-free digraph.
 
@@ -79,20 +99,8 @@ def is_acyclic(adjacency) -> bool:
     a = np.asarray(adjacency)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"adjacency must be square, got shape {a.shape}")
-    n = a.shape[0]
-    indegree = a.sum(axis=0).astype(int)
-    frontier = [v for v in range(n) if indegree[v] == 0 and not a[v, v]]
-    if a.diagonal().any():
-        return False
-    seen = 0
-    while frontier:
-        u = frontier.pop()
-        seen += 1
-        for v in np.flatnonzero(a[u]):
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                frontier.append(int(v))
-    return seen == n
+    children = [np.flatnonzero(row).tolist() for row in a]
+    return len(_smallest_first_order(children)) == len(a)
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,20 @@ class Dag:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        for u, v in self.edges:
+        # Sorted parent and child tuples and the order, derived once.
+        n = len(self.scheme)
+        parents, children = [[] for _ in range(n)], [[] for _ in range(n)]
+        for u, v in sorted(self.edges):
             if u == v:
                 raise CycleError(f"self-loop on {self.scheme.names[u]}")
-        if not is_acyclic(self.adjacency()):
+            parents[v].append(u)
+            children[u].append(v)
+        order = _smallest_first_order(children)
+        if len(order) < n:
             raise CycleError("edge set contains a directed cycle")
+        object.__setattr__(self, "_parents", tuple(map(tuple, parents)))
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        object.__setattr__(self, "_order", tuple(order))
 
     @classmethod
     def from_names(cls, scheme: VariableScheme, edges) -> "Dag":
@@ -124,12 +141,10 @@ class Dag:
         return a
 
     def parents(self, variable) -> tuple[int, ...]:
-        v = self._resolve(variable)
-        return tuple(sorted(u for u, w in self.edges if w == v))
+        return self._parents[self._resolve(variable)]
 
     def children(self, variable) -> tuple[int, ...]:
-        u = self._resolve(variable)
-        return tuple(sorted(w for s, w in self.edges if s == u))
+        return self._children[self._resolve(variable)]
 
     def _resolve(self, variable) -> int:
         return self.scheme.index(variable) if isinstance(variable, str) else variable
@@ -138,53 +153,21 @@ class Dag:
         u, v = self._resolve(parent), self._resolve(child)
         if u == v:
             raise CycleError(f"self-loop on {self.scheme.names[u]}")
-        if self._reaches(v, u):
+        try:
+            return Dag(self.scheme, self.edges | {(u, v)})
+        except CycleError:
             raise CycleError(
                 f"adding {self.scheme.names[u]} -> {self.scheme.names[v]} "
                 "would create a directed cycle"
-            )
-        return Dag(self.scheme, self.edges | {(u, v)})
+            ) from None
 
     def remove(self, parent, child) -> "Dag":
         u, v = self._resolve(parent), self._resolve(child)
         return Dag(self.scheme, self.edges - {(u, v)})
 
-    def _reaches(self, start: int, goal: int) -> bool:
-        # DFS from start following directed edges; used as the cycle gate.
-        stack, seen = [start], set()
-        succ = {}
-        for a, b in self.edges:
-            succ.setdefault(a, []).append(b)
-        while stack:
-            u = stack.pop()
-            if u == goal:
-                return True
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(succ.get(u, ()))
-        return False
-
     def topological_order(self) -> list[int]:
         """Kahn's algorithm; ties broken by scheme index for determinism."""
-        n = len(self.scheme)
-        indegree = [0] * n
-        for _, v in self.edges:
-            indegree[v] += 1
-        order = []
-        ready = sorted(v for v in range(n) if indegree[v] == 0)
-        while ready:
-            u = ready.pop(0)
-            order.append(u)
-            changed = False
-            for v in self.children(u):
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-                    changed = True
-            if changed:
-                ready.sort()
-        return order
+        return list(self._order)
 
 
 def mutate_edge(graph: Dag, action: str, parent: str, child: str) -> Dag:
@@ -226,13 +209,6 @@ class Pdag:
             frozenset((scheme.index(a), scheme.index(b))) for a, b in undirected
         )
         return cls(scheme, d, u)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return (
-            (u, v) in self.directed
-            or (v, u) in self.directed
-            or frozenset((u, v)) in self.undirected
-        )
 
     def skeleton_pairs(self) -> set[frozenset[int]]:
         pairs = {frozenset(e) for e in self.directed}

@@ -14,6 +14,9 @@ from .graph import Dag
 
 TREATMENT_ROWS = ("Chemotherapy", "Targeted Therapy", "Immunotherapy")
 MUTATION_COLUMNS = ("KRAS", "EGFR", "FGFR1", "ALK", "MET", "PIK3CA", "BRAF", "RET")
+TREATMENT_VARIABLE = "TREATMENTPLAN"
+CONTROL_STATE = "Unknown"
+OUTCOME = "SURVIVALMONTHS"
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,12 @@ def apply_do(net: BayesianNetwork, node: str, state: str) -> BayesianNetwork:
     return BayesianNetwork(dag, cpds)
 
 
-def _expected_outcome(net, q: InterventionQuery, arm_state: str, infer) -> float:
-    mutilated = apply_do(net, q.treatment, arm_state)
-    posterior = infer(mutilated, (q.outcome,), dict(q.evidence))
-    values = np.array(
-        [q.outcome_values[s] for s in net.scheme.states(q.outcome)]
-    )
+def _expected_outcome(
+    mutilated: BayesianNetwork, outcome: str, evidence, values, infer
+) -> float:
+    """E[v(outcome) | evidence] on a mutilated network; `values` holds v per
+    outcome state, in scheme order."""
+    posterior = infer(mutilated, (outcome,), dict(evidence))
     return float(posterior.values @ values)
 
 
@@ -73,8 +76,13 @@ def ate(net: BayesianNetwork, q: InterventionQuery, infer=variable_elimination) 
     q.validate(net)
     if q.treated_state == q.control_state:
         return 0.0
-    treated = _expected_outcome(net, q, q.treated_state, infer)
-    control = _expected_outcome(net, q, q.control_state, infer)
+    values = np.array([q.outcome_values[s] for s in net.scheme.states(q.outcome)])
+    treated, control = (
+        _expected_outcome(
+            apply_do(net, q.treatment, state), q.outcome, q.evidence, values, infer
+        )
+        for state in (q.treated_state, q.control_state)
+    )
     return treated - control
 
 
@@ -107,41 +115,23 @@ class AteGrid:
         return out.getvalue()
 
 
-def ate_grid(
-    net: BayesianNetwork,
-    treatments=TREATMENT_ROWS,
-    mutations=MUTATION_COLUMNS,
-    treatment_variable: str = "TREATMENTPLAN",
-    control_state: str = "Unknown",
-    outcome: str = "SURVIVALMONTHS",
-    outcome_values: dict[str, float] | None = None,
-    mutated_state: str | None = None,
-) -> AteGrid:
-    """ATE per (treatment state, mutation gene), evidence = gene present.
+def ate_grid(net: BayesianNetwork) -> AteGrid:
+    """The paper's table: the ATE of do(TREATMENTPLAN = row) against
+    do(TREATMENTPLAN = Unknown) given each mutation gene in its last state,
+    on the indicator of the most favorable SURVIVALMONTHS bin.
 
-    Default outcome valuation is the indicator of the most favorable
-    survival bin.
+    Each arm's mutilated network is built once and queried once per gene;
+    all rows share the control arm.
     """
     scheme = net.scheme
-    if outcome_values is None:
-        states = scheme.states(outcome)
-        outcome_values = {s: 0.0 for s in states}
-        outcome_values[states[-1]] = 1.0
-    cells = np.zeros((len(treatments), len(mutations)))
-    for i, t in enumerate(treatments):
-        for j, gene in enumerate(mutations):
-            present = (
-                mutated_state
-                if mutated_state is not None
-                else scheme.states(gene)[-1]
-            )
-            q = InterventionQuery(
-                treatment=treatment_variable,
-                treated_state=t,
-                control_state=control_state,
-                outcome=outcome,
-                outcome_values=outcome_values,
-                evidence={gene: present},
-            )
-            cells[i, j] = ate(net, q)
-    return AteGrid(tuple(treatments), tuple(mutations), cells)
+    values = np.array([0.0] * (scheme.cardinality(OUTCOME) - 1) + [1.0])
+    evidence = [{gene: scheme.states(gene)[-1]} for gene in MUTATION_COLUMNS]
+    expected = {}
+    for arm in (*TREATMENT_ROWS, CONTROL_STATE):
+        mutilated = apply_do(net, TREATMENT_VARIABLE, arm)
+        expected[arm] = np.array([
+            _expected_outcome(mutilated, OUTCOME, e, values, variable_elimination)
+            for e in evidence
+        ])
+    cells = np.array([expected[t] - expected[CONTROL_STATE] for t in TREATMENT_ROWS])
+    return AteGrid(TREATMENT_ROWS, MUTATION_COLUMNS, cells)

@@ -37,11 +37,6 @@ class ReplayBackend:
         self._exchanges = dict(exchanges)
 
     @classmethod
-    def from_jsonl(cls, path) -> "ReplayBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls.parse_jsonl(fh.read())
-
-    @classmethod
     def parse_jsonl(cls, text: str) -> "ReplayBackend":
         """Backend from JSON lines of {"prompt": ..., "completion": ...}."""
         exchanges = {}
@@ -249,6 +244,12 @@ def render_single_prompt(scheme: VariableScheme, constraints=()) -> str:
     return text
 
 
+def render_refine_prompt(correction: str, edges, scheme: VariableScheme) -> str:
+    """A correction turn's prompt: the correction, then the current edges."""
+    edge_text = "; ".join(f"{scheme.names[u]} -> {scheme.names[v]}" for u, v in edges)
+    return f"{correction}\nCurrent edges: {edge_text}"
+
+
 _MARKERS = (
     (re.compile(r"can\s+(?:also\s+)?affect(?:\s+the)?", re.I), "affect", False),
     (re.compile(r"can\s+lead\s+to", re.I), "affect", False),
@@ -376,10 +377,7 @@ def refine(
     if session.latest_draft is None:
         raise ValueError("refine needs a session with at least one draft")
     _, current_edges = session.latest_draft
-    edge_text = "; ".join(
-        f"{scheme.names[u]} -> {scheme.names[v]}" for u, v in current_edges
-    )
-    prompt = f"{correction}\nCurrent edges: {edge_text}"
+    prompt = render_refine_prompt(correction, current_edges, scheme)
     completion = backend.send(prompt, temperature=0.0)
     matrix, _ = parse_adjacency_response(completion, scheme)
     new_edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(matrix))}

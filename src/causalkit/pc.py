@@ -34,9 +34,6 @@ class SepsetMap:
     def get(self, x: int, y: int):
         return self.sets.get(frozenset((x, y)))
 
-    def __contains__(self, pair) -> bool:
-        return frozenset(pair) in self.sets
-
 
 def ci_test_g2(data: CategoricalDataset, x: int, y: int, cond=(), test="g2"):
     """Conditional independence test for discrete columns.

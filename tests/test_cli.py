@@ -110,6 +110,8 @@ class TestExitCodes:
                 ["sample", "--network", "net.json", "--n", "-3"], "--n",
                 id="sample-n-negative",
             ),
+            pytest.param(["cohort", "--n", "0"], "--n", id="cohort-n-0"),
+            pytest.param(["cohort", "--n", "-1"], "--n", id="cohort-n-negative"),
         ],
     )
     def test_out_of_range_option_is_usage_error(
@@ -120,7 +122,7 @@ class TestExitCodes:
         (workdir / "null.json").write_text(json.dumps({"alpha": None}))
         if argv[0] == "--algo":
             argv = ["discover", *argv, "--data", "data.csv"]
-        elif argv[0] != "sample":
+        elif argv[0] not in ("sample", "cohort"):
             argv = [*argv, "--data", "data.csv"]
         assert dispatch([*argv, "--out", "out.json"]) == 1
         err = capsys.readouterr().err
@@ -128,6 +130,68 @@ class TestExitCodes:
         assert len(errors) == 1 and f"argument {option}:" in errors[0]
         assert "Traceback" not in err
         assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "config, argv, option",
+        [
+            pytest.param(
+                {"algo": "bogus"}, ["discover", "--data", "data.csv", "--out", "o.json"],
+                "--algo", id="algo-bogus",
+            ),
+            pytest.param(
+                {"strategy": "bogus"}, ["elicit", "--out-graph", "o.json"],
+                "--strategy", id="strategy-bogus",
+            ),
+            pytest.param({"out": None}, ["cohort"], "--out", id="out-null"),
+            pytest.param({"out": 3}, ["cohort"], "--out", id="out-number"),
+            pytest.param(
+                {"graphs": "v1.json"}, ["compare", "--data", "data.csv"], "--graphs",
+                id="graphs-string",
+            ),
+            pytest.param(
+                {"grid": "yes"}, ["ate", "--network", "net.json"], "--grid",
+                id="grid-string",
+            ),
+            pytest.param(
+                {"algo": "PC", "out": "o.json"}, ["discover", "--data", "data.csv"],
+                "--algo", id="bad-value-beside-required-option",
+            ),
+        ],
+    )
+    def test_config_value_no_flag_could_give_is_usage_error(
+        self, workdir, capsys, monkeypatch, config, argv, option
+    ):
+        monkeypatch.chdir(workdir)
+        (workdir / "c.json").write_text(json.dumps(config))
+        before = sorted(workdir.iterdir())
+        assert dispatch([*argv, "--config", "c.json"]) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {option}:" in errors[0]
+        assert "Traceback" not in err
+        assert sorted(workdir.iterdir()) == before
+
+    def test_command_line_errors_come_before_config_errors(
+        self, workdir, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(workdir)
+        discover = ["discover", "--algo", "pc", "--data", "data.csv", "--out", "o.json"]
+        assert dispatch([*discover, "--alpha", "1.5", "--config", "missing.json"]) == 1
+        assert "argument --alpha:" in capsys.readouterr().err
+        assert dispatch(["cohort", "--help", "--config", "missing.json"]) == 0
+        assert "usage: causalkit cohort" in capsys.readouterr().out
+        assert dispatch(["cohort", "--out", "c.csv", "--config", "missing.json"]) == 2
+        assert capsys.readouterr().err.startswith("error: missing.json: ")
+        assert not (workdir / "c.csv").exists()
+
+    def test_config_option_is_read_only_in_full(self, workdir, capsys, monkeypatch):
+        monkeypatch.chdir(workdir)
+        (workdir / "c.json").write_text(json.dumps({"n": 3}))
+        assert dispatch(["discover", "--c", "c.json"]) == 1
+        assert "ambiguous option: --c" in capsys.readouterr().err
+        assert dispatch(["cohort", "--out", "c.csv", "--conf", "c.json"]) == 1
+        assert "argument --config: give the option in full" in capsys.readouterr().err
+        assert not (workdir / "c.csv").exists()
 
     @pytest.mark.parametrize("kind", ["data", "graph", "network", "config", "scheme"])
     def test_unreadable_input_file_is_2(self, workdir, capsys, kind):
@@ -288,6 +352,18 @@ class TestCohort:
         argv = ["cohort", "--out", str(out), "--n", "7", "--config", str(config)]
         assert dispatch(argv) == 0
         assert len(out.read_text().splitlines()) == 8
+
+    def test_config_supplies_required_option(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"out": "x.csv"}))
+        assert dispatch(["cohort", "--config", "c.json"]) == 0
+        assert dispatch(["cohort", "--out", "y.csv"]) == 0
+        assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
+        assert dispatch(["cohort", "--config", "c.json", "--out", "z.csv"]) == 0
+        assert (tmp_path / "z.csv").read_bytes() == (tmp_path / "y.csv").read_bytes()
+        (tmp_path / "x.csv").unlink()
+        assert dispatch(["cohort", "--out", "z.csv", "--config", "c.json"]) == 0
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestIngestAndSample:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -155,6 +156,37 @@ class TestTopologicalOrder:
         assert sorted(order) == list(range(n))
         position = {v: i for i, v in enumerate(order)}
         assert all(position[u] < position[v] for u, v in g.edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_smallest_order_and_families_match_naive_oracles(self, data):
+        # The sampler draws variables in this order, so it fixes the bytes
+        # that `sample` writes for a seed.
+        n = data.draw(st.integers(1, 8))
+        rank = data.draw(st.permutations(range(n)))
+        pairs = [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+        g = Dag(binary_scheme(n), frozenset(edges))
+        # itertools.permutations yields in lexicographic order.
+        smallest = next(
+            list(p)
+            for p in itertools.permutations(range(n))
+            if all(p.index(u) < p.index(v) for u, v in edges)
+        )
+        assert g.topological_order() == smallest
+        for v in range(n):
+            assert g.parents(v) == tuple(sorted(u for u, w in edges if w == v))
+            assert g.children(v) == tuple(sorted(w for u, w in edges if u == v))
+
+    def test_add_closing_a_cycle_names_the_edge(self):
+        g = Dag.from_names(binary_scheme(3), [("X0", "X1"), ("X1", "X2")])
+        closing = "^adding X2 -> X0 would create a directed cycle$"
+        with pytest.raises(CycleError, match=closing):
+            g.add("X2", "X0")
+        with pytest.raises(CycleError, match="^self-loop on X1$"):
+            g.add("X1", "X1")
+        with pytest.raises(CycleError, match="^edge set contains a directed cycle$"):
+            Dag(g.scheme, g.edges | {(2, 0)})
 
 
 class TestSerialization:

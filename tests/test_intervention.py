@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from causalkit.bayesnet import brute_force_query
+from causalkit import intervention, nsclc
+from causalkit.bayesnet import brute_force_query, fit_cpds
 from causalkit.errors import UnknownState, UnknownVariable
 from causalkit.intervention import (
     MUTATION_COLUMNS,
@@ -11,7 +12,7 @@ from causalkit.intervention import (
     ate,
     ate_grid,
 )
-from causalkit.synth import reference_network
+from causalkit.synth import CohortSpec, generate_cohort, reference_network
 
 
 def binary_query(treated="1", control="0", evidence=None):
@@ -125,20 +126,39 @@ class TestAteGrid:
         assert np.allclose(parsed, grid.cells, atol=5e-7)
 
     def test_grid_cells_equal_single_queries(self):
-        net = reference_network()
-        grid = ate_grid(net)
-        states = net.scheme.states("SURVIVALMONTHS")
-        values = {s: 0.0 for s in states}
-        values[states[-1]] = 1.0
-        q = InterventionQuery(
-            treatment="TREATMENTPLAN",
-            treated_state="Immunotherapy",
-            control_state="Unknown",
-            outcome="SURVIVALMONTHS",
-            outcome_values=values,
-            evidence={"EGFR": "Present"},
-        )
-        assert grid.cells[2, 1] == pytest.approx(ate(net, q), abs=1e-12)
+        cohort = generate_cohort(CohortSpec.nsclc_default(326, seed=3))
+        v1 = fit_cpds(nsclc.v1_dag(), cohort, 10.0)
+        for net in (reference_network(), v1):
+            grid = ate_grid(net)
+            states = net.scheme.states("SURVIVALMONTHS")
+            values = {s: 0.0 for s in states}
+            values[states[-1]] = 1.0
+            for i, treatment in enumerate(TREATMENT_ROWS):
+                for j, gene in enumerate(MUTATION_COLUMNS):
+                    q = InterventionQuery(
+                        treatment="TREATMENTPLAN",
+                        treated_state=treatment,
+                        control_state="Unknown",
+                        outcome="SURVIVALMONTHS",
+                        outcome_values=values,
+                        evidence={gene: net.scheme.states(gene)[-1]},
+                    )
+                    assert grid.cells[i, j] == ate(net, q)
+        # In V1, TREATMENTPLAN has no children, so no arm moves the outcome.
+        assert (grid.cells == 0).all()
+
+    def test_grid_builds_one_mutilated_network_per_arm(self, monkeypatch):
+        calls = {"apply_do": 0, "variable_elimination": 0}
+        for name in calls:
+            original = getattr(intervention, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(intervention, name, counted)
+        ate_grid(reference_network())
+        assert calls == {"apply_do": 4, "variable_elimination": 32}
 
     def test_reference_grid_not_degenerate(self):
         grid = ate_grid(reference_network())

@@ -23,6 +23,7 @@ from causalkit.llm import (
     parse_verdict,
     refine,
     render_pairwise_prompt,
+    render_refine_prompt,
     render_single_prompt,
 )
 
@@ -60,6 +61,12 @@ class TestPrompts:
         )
         assert "AGE, SMOKING" in prompt
         assert prompt.endswith("mutation doesn't cause symptoms.")
+
+    def test_refine_prompt_layout(self):
+        prompt = render_refine_prompt("Add X.", [(0, 1), (2, 3)], SCHEME)
+        assert prompt == (
+            "Add X.\nCurrent edges: AGE -> SMOKING; GENDER -> SHORTNESSOFBREATH"
+        )
 
 
 class TestParseVerdict:
@@ -143,7 +150,7 @@ class TestReplayBackend:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "replay.jsonl"
         fixtures.write_replay_file(path, {"p1": "c1", "p2": "c2"})
-        backend = ReplayBackend.from_jsonl(path)
+        backend = ReplayBackend.parse_jsonl(path.read_text())
         assert backend.send("p1") == "c1"
         assert backend.send("p2") == "c2"
 
