@@ -45,6 +45,8 @@ class Cpd:
         object.__setattr__(self, "table", table)
         if table.ndim != 2:
             raise CardinalityMismatch("CPD table must be 2-D")
+        if not np.isfinite(table).all():
+            raise CardinalityMismatch(f"CPD table for {self.child} is not finite")
         if (table < 0).any() or np.abs(table.sum(axis=1) - 1.0).max() > 1e-9:
             raise CardinalityMismatch(f"CPD rows for {self.child} not normalized")
 
@@ -99,8 +101,8 @@ class BayesianNetwork:
         # pure-Python encoder, while json.dumps without it uses the C one.
         dag = json.dumps(json.loads(serialize_graph(self.dag, "json")))
         cpds = ",\n".join(
-            f"    {json.dumps(name)}: "
-            + json.dumps({"parents": list(c.parents), "table": c.table.tolist()})
+            f'    {json.dumps(name)}: {{"parents": {json.dumps(list(c.parents))}, '
+            f'"table": {_table_text(c.table)}}}'
             for name, c in self.cpds.items()
         )
         return f'{{\n  "dag": {dag},\n  "cpds": {{\n{cpds}\n  }}\n}}\n'
@@ -118,6 +120,25 @@ class BayesianNetwork:
             raise SchemaMismatch(f"not a network of dag and cpds ({exc!r})") from None
         cpds = {name: Cpd(name, parents, table) for name, parents, table in specs}
         return cls(parse_graph_json(dag_text), cpds)
+
+
+def _table_text(table: np.ndarray) -> str:
+    """`json.dumps(table.tolist())` for a finite 2-D float table.
+
+    A fitted table repeats a few values many times (every unobserved parent
+    configuration gets the same uniform row), so when fewer than half its
+    cells are distinct, each distinct bit pattern is formatted once and the
+    cells are joined lazily.  Otherwise sorting and indexing would only add
+    time and memory to json's C encoder.
+    """
+    bits = table.view(np.uint64).ravel()
+    if 2 * np.count_nonzero(np.diff(np.sort(bits))) >= table.size:
+        return json.dumps(table.tolist())
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+    cells = map(texts.__getitem__, inverse.data)
+    rows = map(", ".join, zip(*[cells] * table.shape[1]))
+    return "[[" + "], [".join(rows) + "]]"
 
 
 def fit_cpds(

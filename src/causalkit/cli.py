@@ -187,7 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph")
     p.add_argument("--data")
     p.add_argument("--ess", type=_POSITIVE, default=10.0)
-    p.add_argument("--grid", action="store_true")
+    p.add_argument(
+        "--grid", action="store_true",
+        help="accepted for compatibility: the grid is the only output of ate",
+    )
     p.add_argument("--out")
 
     p = add_parser("compare", _cmd_compare, "side-by-side Bdeu of several graphs", bdeu)

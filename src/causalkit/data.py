@@ -126,8 +126,9 @@ def load_csv(
     missing = [name for name in scheme.names if name not in header]
     if missing:
         raise SchemaMismatch(f"missing columns: {missing}")
-    col_of = {name: header.index(name) for name in scheme.names}
-
+    # Each column maps a cell's text to its state (None for a missing value),
+    # so a text is encoded once; a text that fails to encode is never stored.
+    columns = [(header.index(name), name, {}) for name in scheme.names]
     encoded, dropped = [], 0
     for raw in reader:
         if not raw:
@@ -138,23 +139,29 @@ def load_csv(
                 f"header has {len(header)}"
             )
         row = []
-        ok = True
-        for name in scheme.names:
-            cell = raw[col_of[name]].strip()
-            if cell == "" or cell.upper() in ("NA", "NAN"):
-                ok = False
+        for col, name, memo in columns:
+            text = raw[col]
+            try:
+                state = memo[text]
+            except KeyError:
+                state = memo[text] = _encode_cell(
+                    text.strip(), name, scheme, discretization
+                )
+            if state is None:
+                dropped += 1
                 break
-            row.append(_encode_cell(cell, name, scheme, discretization))
-        if ok:
-            encoded.append(row)
+            row.append(state)
         else:
-            dropped += 1
+            encoded.append(row)
     if not encoded:
         raise EmptyDataset("all rows dropped or input empty")
     return CategoricalDataset(scheme, np.array(encoded, dtype=np.int64)), dropped
 
 
 def _encode_cell(cell, name, scheme, discretization):
+    """The state of a stripped cell, or None when it is missing."""
+    if cell == "" or cell.upper() in ("NA", "NAN"):
+        return None
     if name in discretization.bins:
         try:
             value = float(cell)
@@ -181,9 +188,11 @@ def write_csv(data: CategoricalDataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(data.scheme.names)
-    states = [data.scheme.states(i) for i in range(len(data.scheme))]
-    for row in data.rows:
-        writer.writerow([states[j][row[j]] for j in range(len(row))])
+    labels = [
+        np.array(data.scheme.states(j), dtype=object)[data.rows[:, j]]
+        for j in range(len(data.scheme))
+    ]
+    writer.writerows(zip(*labels))
     return out.getvalue()
 
 

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalkit import nsclc
 from causalkit.bayesnet import (
     BayesianNetwork,
     Cpd,
     Factor,
+    _table_text,
     brute_force_query,
     cpd_to_factor,
     fit_cpds,
@@ -21,7 +23,7 @@ from causalkit.errors import (
     ZeroEvidenceProbability,
 )
 from causalkit.graph import Dag, serialize_graph
-from causalkit.synth import random_network
+from causalkit.synth import random_network, reference_network, sample_from_network
 
 from conftest import binary_scheme
 
@@ -46,6 +48,10 @@ class TestCpd:
     def test_negative_rejected(self):
         with pytest.raises(CardinalityMismatch):
             Cpd("A", (), np.array([[-0.1, 1.1]]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(CardinalityMismatch, match="not finite"):
+            Cpd("A", (), np.array([[np.nan, 0.5]]))
 
     def test_network_validates_parent_order(self, abc_scheme):
         dag = Dag.from_names(abc_scheme, [("X0", "X2"), ("X1", "X2")])
@@ -206,6 +212,36 @@ class TestSerialization:
         back = BayesianNetwork.from_json(text)
         for name, cpd in net.cpds.items():
             assert back.cpds[name].table.tobytes() == cpd.table.tobytes()
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.vstack([[0.1, 0.2, 0.3, 0.4], np.full((49, 4), 0.25)]),
+            np.random.default_rng(0).dirichlet(np.ones(3), size=20),
+            np.array([[0.0, -0.0, 1.0]] * 4),
+            np.array([[5e-324, 1.0]] * 3),
+            np.array([[0.5, 0.5]]),
+            np.array([[0.3, 0.7]]),
+            np.asfortranarray(np.vstack([[0.9, 0.1], np.full((5, 2), 0.5)])),
+        ],
+        ids=[
+            "mostly-repeated", "all-distinct", "signed-zeros", "subnormal",
+            "one-row-repeated", "one-row-distinct", "fortran-order",
+        ],
+    )
+    def test_table_text_is_json_dumps(self, table):
+        assert _table_text(table) == json.dumps(table.tolist())
+
+    def test_fitted_network_text_is_json_dumps_layout(self):
+        data = sample_from_network(reference_network(7), 326, seed=1)
+        net = fit_cpds(nsclc.v5_dag(), data, 10.0)
+        dag = json.dumps(json.loads(serialize_graph(net.dag, "json")))
+        cpds = ",\n".join(
+            f"    {json.dumps(name)}: "
+            + json.dumps({"parents": list(c.parents), "table": c.table.tolist()})
+            for name, c in net.cpds.items()
+        )
+        assert net.to_json() == f'{{\n  "dag": {dag},\n  "cpds": {{\n{cpds}\n  }}\n}}\n'
 
     def test_cpd_to_factor_scope(self, confounded_net):
         f = cpd_to_factor(confounded_net, "Y")

@@ -501,6 +501,36 @@ class TestScoreFitAte:
         )
         assert len(rows) == 4
 
+    def test_ate_grid_flag_changes_nothing(self, workdir, capsys):
+        net_path = workdir / "net.json"
+        fit = ["fit", "--graph", str(workdir / "v1.json"), "--data",
+               str(workdir / "data.csv"), "--out", str(net_path)]
+        assert dispatch(fit) == 0
+        capsys.readouterr()
+        outputs = []
+        for flag in (["--grid"], []):
+            out = workdir / f"ate{len(flag)}.csv"
+            assert dispatch(["ate", "--network", str(net_path), *flag, "--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "ate.csv")
+            outputs.append((out.read_bytes(), stdout))
+        assert outputs[0] == outputs[1]
+
+    def test_network_with_nan_is_2(self, workdir, capsys):
+        net_path, bad = workdir / "net.json", workdir / "bad.json"
+        fit = ["fit", "--graph", str(workdir / "v1.json"), "--data",
+               str(workdir / "data.csv"), "--out", str(net_path)]
+        assert dispatch(fit) == 0
+        payload = json.loads(net_path.read_text())
+        name = next(iter(payload["cpds"]))
+        payload["cpds"][name]["table"][0][0] = float("nan")
+        bad.write_text(json.dumps(payload))
+        assert "NaN" in bad.read_text()
+        capsys.readouterr()
+        assert dispatch(["ate", "--network", str(bad), "--out", str(workdir / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: CPD table for {name} is not finite\n"
+        assert not (workdir / "o.csv").exists()
+
     def test_ate_needs_network_or_graph(self):
         assert dispatch(["ate"]) == 2
 

@@ -63,6 +63,24 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatch):
             load_csv("A,B\nmid,x\n", AB)
 
+    def test_unmapped_label_beats_a_later_short_row(self):
+        with pytest.raises(SchemaMismatch, match="unmapped state label 'mid'"):
+            load_csv("A,B\nlo,x\nmid,x\nhi,y\nhi\n", AB)
+
+    def test_bad_label_after_missing_value_drops_the_row(self):
+        data, dropped = load_csv("A,B\nNA,bogus\nlo,x\n", AB)
+        assert dropped == 1
+        assert data.rows.tolist() == [[0, 0]]
+
+    def test_surrounding_spaces_give_the_same_state(self):
+        data, _ = load_csv("A,B\n hi ,y\nhi, y \nhi,y\n", AB)
+        assert data.rows.tolist() == [[1, 1]] * 3
+
+    def test_same_text_maps_through_each_columns_states(self):
+        scheme = VariableScheme.of([("P", ("yes", "no")), ("Q", ("no", "yes"))])
+        data, _ = load_csv("P,Q\nyes,yes\nno,no\nyes,no\n", scheme)
+        assert data.rows.tolist() == [[0, 1], [1, 0], [0, 0]]
+
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDataset):
             load_csv("", AB)
