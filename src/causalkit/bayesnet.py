@@ -2,14 +2,18 @@
 
 A Factor is a dense table with one axis per variable of an ordered
 variable-index scope.  variable_elimination is the production path: bucket
-elimination in which every multiply-and-sum step is one np.einsum call.
+elimination in which every multiply-and-sum step is one np.einsum call.  The
+steps are planned once per (CPD scopes, cardinalities, query variables,
+evidence variables) and replayed on each network of that structure.
 brute_force_query enumerates the full joint and exists as its oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import string
 from dataclasses import dataclass
 
@@ -25,6 +29,8 @@ from .errors import (
     ZeroEvidenceProbability,
 )
 from .graph import Dag, VariableScheme, parse_graph_json, serialize_graph
+
+_PLAN_CACHE_SIZE = 512  # plans hold only strings and ints, a few kB each
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,9 @@ class BayesianNetwork:
 
     def __post_init__(self):
         scheme = self.dag.scheme
+        # Each CPD's scope (parents, then child) keys its inference plans.
+        scopes = tuple(self.dag.parents(i) + (i,) for i in range(len(scheme)))
+        object.__setattr__(self, "_scopes", scopes)
         for idx, name in enumerate(scheme.names):
             if name not in self.cpds:
                 raise UnparameterizedNetwork(f"missing CPD for {name}")
@@ -175,65 +184,76 @@ def variable_elimination(
 ) -> Factor:
     """Normalized posterior P(query | evidence) by bucket elimination.
 
-    Each CPD becomes a (scope, table) pair with the evidence sliced out.  The
-    variable eliminated next has the bucket product with the fewest cells
-    (lower index on ties); its bucket is multiplied two tables at a time and
-    the variable summed out in the last product.
+    Each CPD's table, shaped to its scope, has the evidence sliced out; the
+    cached plan of its structure, query and evidence variables is then
+    replayed, one np.einsum call per step.
     """
     scheme = net.scheme
-    query_idx = tuple(
-        scheme.index(q) if isinstance(q, str) else q for q in query
-    )
-    ev = _resolve_evidence(scheme, evidence)
-    if set(query_idx) & set(ev):
-        raise ValueError("query and evidence overlap")
-
+    query_idx, ev = _resolve_query(scheme, query, evidence)
     cards = scheme.cardinalities()
-    tables = []
-    for name in scheme.names:
-        f = cpd_to_factor(net, name)
-        index = tuple(ev.get(v, slice(None)) for v in f.variables)
-        scope = tuple(v for v in f.variables if v not in ev)
-        tables.append((scope, f.values[index]))
-
-    def bucket_cells(var):
-        joint = _union([t for t in tables if var in t[0]])
-        return math.prod(cards[v] for v in joint), var
-
-    while remaining := set(_union(tables)) - set(query_idx):
-        var = min(remaining, key=bucket_cells)
-        bucket = [t for t in tables if var in t[0]]
-        tables = [t for t in tables if var not in t[0]]
-        product, *others = bucket
-        for table in others[:-1]:
-            product = _einsum([product, table], _union([product, table]))
-        last = [product, *others[-1:]]
-        tables.append(_einsum(last, _union(last, drop=var)))
-
-    _, values = _einsum(tables, query_idx)
+    tables = dict(enumerate(
+        net.cpds[name].table.reshape([cards[v] for v in scope])[
+            tuple(ev.get(v, slice(None)) for v in scope)
+        ]
+        for name, scope in zip(scheme.names, net._scopes)
+    ))
+    plan = _plan(net._scopes, cards, query_idx, frozenset(ev))
+    for slot, (spec, operands) in enumerate(plan, len(tables)):
+        tables[slot] = np.einsum(spec, *map(tables.pop, operands))
+    [values] = tables.values()
     total = values.sum()
     if total <= 0:
         raise ZeroEvidenceProbability("evidence has probability zero")
     return Factor(scheme, query_idx, values / total)
 
 
-def _union(tables, drop=None) -> tuple[int, ...]:
-    return tuple(sorted({v for scope, _ in tables for v in scope} - {drop}))
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(scopes, cards, query_idx, evidence_vars) -> tuple:
+    """The einsum steps of bucket elimination, as (spec, operand slots) pairs.
 
-
-def _einsum(tables, out: tuple[int, ...]):
-    """Multiply labelled tables and sum out every variable not in `out`.
-
-    Letters are assigned per call, so one step may span at most 52 distinct
-    variables -- a table that large could not be held anyway.
+    Slots 0..n-1 hold the CPD tables over `scopes` less `evidence_vars`;
+    step k consumes its operands and fills slot n + k, and the last step
+    leaves the table over `query_idx`.  The variable eliminated next has the
+    bucket product with the fewest cells (lower index on ties); its bucket is
+    multiplied two tables at a time and the variable summed out in the last
+    product.  Only scopes and cardinalities are read, never evidence states
+    or table values, so networks of one structure share plans.  Letters are
+    assigned per step, so one step may span at most 52 distinct variables.
     """
-    letter: dict[int, str] = {}
-    for scope, _ in tables:
-        for v in scope:
-            letter.setdefault(v, string.ascii_letters[len(letter)])
-    spec = ",".join("".join(letter[v] for v in scope) for scope, _ in tables)
-    spec += "->" + "".join(letter[v] for v in out)
-    return out, np.einsum(spec, *(values for _, values in tables))
+    n = len(scopes)
+    live = {
+        slot: tuple(v for v in scope if v not in evidence_vars)
+        for slot, scope in enumerate(scopes)
+    }
+    steps = []
+
+    def union(slots, drop=None):
+        return tuple(sorted({v for s in slots for v in live[s]} - {drop}))
+
+    def contract(slots, out):
+        operands = [live.pop(s) for s in slots]
+        letter: dict[int, str] = {}
+        for scope in operands:
+            for v in scope:
+                letter.setdefault(v, string.ascii_letters[len(letter)])
+        spec = ",".join("".join(map(letter.get, scope)) for scope in operands)
+        steps.append((spec + "->" + "".join(map(letter.get, out)), slots))
+        live[n + len(steps) - 1] = out
+        return n + len(steps) - 1
+
+    def bucket_cells(var):
+        joint = union([s for s, scope in live.items() if var in scope])
+        return math.prod(cards[v] for v in joint), var
+
+    while remaining := set(union(live)) - set(query_idx):
+        var = min(remaining, key=bucket_cells)
+        product, *others = [s for s, scope in live.items() if var in scope]
+        for slot in others[:-1]:
+            product = contract((product, slot), union((product, slot)))
+        last = (product, *others[-1:])
+        contract(last, union(last, drop=var))
+    contract(tuple(live), query_idx)
+    return tuple(steps)
 
 
 def brute_force_query(
@@ -244,10 +264,7 @@ def brute_force_query(
     cards = scheme.cardinalities()
     if int(np.prod(cards)) > 2**24:
         raise StateSpaceTooLarge(f"joint has {np.prod(cards)} entries")
-    query_idx = tuple(
-        scheme.index(q) if isinstance(q, str) else q for q in query
-    )
-    ev = _resolve_evidence(scheme, evidence)
+    query_idx, ev = _resolve_query(scheme, query, evidence)
 
     joint = np.ones(cards)
     all_vars = tuple(range(len(scheme)))
@@ -280,10 +297,14 @@ def brute_force_query(
     return Factor(scheme, query_idx, marginal / total)
 
 
-def _resolve_evidence(scheme: VariableScheme, evidence) -> dict[int, int]:
+def _resolve_query(scheme: VariableScheme, query, evidence):
+    """(query indices, {evidence index: state}), checked before any plan."""
+    query_idx = tuple(_variable(scheme, q) for q in query)
+    if len(set(query_idx)) < len(query_idx):
+        raise ValueError(f"query {list(query)!r} repeats a variable")
     ev = {}
     for key, value in (evidence or {}).items():
-        var = scheme.index(key) if isinstance(key, str) else key
+        var = _variable(scheme, key)
         state = (
             scheme.state_index(var, value) if isinstance(value, str) else int(value)
         )
@@ -292,4 +313,15 @@ def _resolve_evidence(scheme: VariableScheme, evidence) -> dict[int, int]:
                 f"state {value!r} out of range for {scheme.names[var]}"
             )
         ev[var] = state
-    return ev
+    if set(query_idx) & ev.keys():
+        raise ValueError("query and evidence overlap")
+    return query_idx, ev
+
+
+def _variable(scheme: VariableScheme, key) -> int:
+    """A name's index, or an index in [0, n): -1 is not the last variable."""
+    if isinstance(key, str):
+        return scheme.index(key)
+    if not 0 <= (var := operator.index(key)) < len(scheme):
+        raise UnknownVariable(f"variable index {key!r} not in [0, {len(scheme)})")
+    return var

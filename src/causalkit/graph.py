@@ -22,6 +22,7 @@ class VariableScheme:
     """Ordered list of named categorical variables with ordered state labels."""
 
     variables: tuple[tuple[str, tuple[str, ...]], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.variables]
@@ -32,15 +33,13 @@ class VariableScheme:
                 raise ValueError("variable names must be nonempty")
             if len(states) < 2:
                 raise ValueError(f"variable {name!r} needs at least 2 states")
+        # Derived once, since names is read inside per-variable loops.
+        object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
 
     @classmethod
     def of(cls, variables) -> "VariableScheme":
         return cls(tuple((name, tuple(states)) for name, states in variables))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.variables)
 
     def __len__(self) -> int:
         return len(self.variables)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalkit import nsclc
+from causalkit import bayesnet, nsclc
 from causalkit.bayesnet import (
     BayesianNetwork,
     Cpd,
     Factor,
+    _plan,
     _table_text,
     brute_force_query,
     cpd_to_factor,
@@ -19,10 +20,12 @@ from causalkit.bayesnet import (
 from causalkit.data import CategoricalDataset, contingency_counts
 from causalkit.errors import (
     CardinalityMismatch,
+    UnknownVariable,
     UnparameterizedNetwork,
     ZeroEvidenceProbability,
 )
 from causalkit.graph import Dag, serialize_graph
+from causalkit.intervention import ate_grid
 from causalkit.synth import random_network, reference_network, sample_from_network
 
 from conftest import binary_scheme
@@ -181,6 +184,102 @@ class TestInference:
             return
         bf = brute_force_query(net, query, evidence)
         assert np.allclose(ve.values, bf.values, atol=1e-9)
+
+
+class TestPlanCache:
+    def test_warm_plans_give_cold_bits(self, monkeypatch):
+        data = sample_from_network(reference_network(7), 326, seed=1)
+        nets = [
+            reference_network(7),
+            fit_cpds(nsclc.v1_dag(), data, 10.0),
+            fit_cpds(nsclc.v5_dag(), data, 10.0),
+        ]
+        rng = np.random.default_rng(11)
+        patterns = []
+        for net in nets:
+            n = len(net.scheme)
+            for _ in range(15):
+                size = rng.integers(1, 3)
+                query = [int(v) for v in rng.choice(n, size=size, replace=False)]
+                pool = [v for v in range(n) if v not in query]
+                evidence = {
+                    int(v): int(rng.integers(0, net.scheme.cardinality(int(v))))
+                    for v in rng.choice(pool, size=rng.integers(0, 4), replace=False)
+                }
+                patterns.append((net, query, evidence))
+
+        def bits():
+            out = [ate_grid(net).cells.tobytes() for net in nets]
+            for net, query, evidence in patterns:
+                try:
+                    posterior = variable_elimination(net, query, evidence)
+                    out.append(posterior.values.tobytes())
+                except ZeroEvidenceProbability:
+                    out.append(None)
+            return out
+
+        _plan.cache_clear()
+        first = bits()
+        warm = bits()
+        assert _plan.cache_info().hits >= len(first)
+        # Unwrapped, every call plans afresh.
+        monkeypatch.setattr(bayesnet, "_plan", _plan.__wrapped__)
+        assert first == warm == bits()
+
+    def test_networks_of_one_dag_share_a_plan(self):
+        scheme = binary_scheme(5)
+        dag = Dag.from_names(
+            scheme,
+            [("X0", "X1"), ("X1", "X2"), ("X0", "X3"), ("X3", "X2"), ("X2", "X4")],
+        )
+        _plan.cache_clear()
+        posteriors = []
+        for seed in (1, 2):
+            net = random_network(dag, seed=seed)
+            ve = variable_elimination(net, ["X4", "X1"], {"X3": "1"})
+            bf = brute_force_query(net, ["X4", "X1"], {"X3": "1"})
+            assert np.allclose(ve.values, bf.values, rtol=0, atol=1e-12)
+            posteriors.append(ve.values)
+        info = _plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not np.allclose(*posteriors)
+
+    def test_zero_probability_evidence_on_a_cache_hit(self):
+        scheme = binary_scheme(2)
+        dag = Dag.from_names(scheme, [("X0", "X1")])
+        net = BayesianNetwork(
+            dag,
+            {
+                "X0": Cpd("X0", (), np.array([[1.0, 0.0]])),
+                "X1": Cpd("X1", ("X0",), np.array([[1.0, 0.0], [0.0, 1.0]])),
+            },
+        )
+        _plan.cache_clear()
+        posterior = variable_elimination(net, ["X0"], {"X1": "0"})
+        assert posterior.values.tolist() == [1.0, 0.0]
+        for _ in range(2):
+            with pytest.raises(ZeroEvidenceProbability):
+                variable_elimination(net, ["X0"], {"X1": "1"})
+        info = _plan.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("infer", [variable_elimination, brute_force_query])
+    @pytest.mark.parametrize(
+        "query, evidence, error",
+        [
+            ((99,), {}, UnknownVariable),
+            ((-1,), {}, UnknownVariable),
+            ((0,), {-1: 0}, UnknownVariable),
+            ((0,), {99: 0}, UnknownVariable),
+            (("A", "A"), {}, ValueError),
+            ((1, "B"), {}, ValueError),
+        ],
+    )
+    def test_variable_indices_are_range_checked(
+        self, chain_net, infer, query, evidence, error
+    ):
+        with pytest.raises(error):
+            infer(chain_net, query, evidence)
 
 
 class TestSerialization:

@@ -12,7 +12,29 @@ from causalkit.intervention import (
     ate,
     ate_grid,
 )
-from causalkit.synth import CohortSpec, generate_cohort, reference_network
+from causalkit.synth import (
+    CohortSpec,
+    generate_cohort,
+    reference_network,
+    sample_from_network,
+)
+
+# `to_text()` of two ATE grids, recorded before elimination plans were cached.
+# A change to inference that keeps posteriors bit-identical keeps these bytes.
+PINNED_GRID_TEXT = {
+    "reference_network(7)": (
+        "Treatment Category  KRAS       EGFR      FGFR1      ALK       MET        PIK3CA    BRAF      RET\n"
+        "Chemotherapy        0.003370   0.008457  -0.001168  0.004160  0.003434   0.010234  0.003837  0.010101\n"
+        "Targeted Therapy    -0.002430  0.008386  -0.002749  0.001380  -0.007670  0.007003  0.005919  0.005503\n"
+        "Immunotherapy       -0.002639  0.003326  -0.007920  0.004259  -0.006959  0.001916  0.007291  0.002757\n"
+    ),
+    "V5 at ESS 10 on 326 rows": (
+        "Treatment Category  KRAS      EGFR       FGFR1     ALK        MET       PIK3CA    BRAF       RET\n"
+        "Chemotherapy        0.003418  -0.003514  0.001504  -0.000106  0.003083  0.001920  -0.005967  -0.004440\n"
+        "Targeted Therapy    0.006231  0.000605   0.002553  0.006573   0.007520  0.006057  -0.000591  -0.000316\n"
+        "Immunotherapy       0.010344  0.003377   0.009391  0.004480   0.005527  0.003520  0.000627   -0.001112\n"
+    ),
+}
 
 
 def binary_query(treated="1", control="0", evidence=None):
@@ -159,6 +181,13 @@ class TestAteGrid:
             monkeypatch.setattr(intervention, name, counted)
         ate_grid(reference_network())
         assert calls == {"apply_do": 4, "variable_elimination": 32}
+
+    @pytest.mark.parametrize("label", sorted(PINNED_GRID_TEXT))
+    def test_grid_text_is_pinned(self, label):
+        net = reference_network(7)
+        if label.startswith("V5"):
+            net = fit_cpds(nsclc.v5_dag(), sample_from_network(net, 326, 1), 10.0)
+        assert ate_grid(net).to_text() == PINNED_GRID_TEXT[label]
 
     def test_reference_grid_not_degenerate(self):
         grid = ate_grid(reference_network())
