@@ -305,9 +305,14 @@ def _resolve_query(scheme: VariableScheme, query, evidence):
     ev = {}
     for key, value in (evidence or {}).items():
         var = _variable(scheme, key)
-        state = (
-            scheme.state_index(var, value) if isinstance(value, str) else int(value)
-        )
+        if var in ev:
+            raise ValueError(f"evidence names {scheme.names[var]} twice")
+        if isinstance(value, str):
+            state = scheme.state_index(var, value)
+        elif isinstance(value, bool):
+            raise TypeError(f"state {value!r} for {scheme.names[var]} is a bool")
+        else:
+            state = operator.index(value)
         if not 0 <= state < scheme.cardinality(var):
             raise UnknownVariable(
                 f"state {value!r} out of range for {scheme.names[var]}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -85,17 +86,29 @@ class CountTable:
     child_card: int
     parent_cards: tuple[int, ...]
 
-    @property
+    @functools.cached_property
     def n_i(self) -> np.ndarray:
-        return self.n_ij.sum(axis=1)
+        n_i = self.n_ij.sum(axis=1)
+        n_i.setflags(write=False)
+        return n_i
 
     @property
     def n(self) -> int:
-        return int(self.n_ij.sum())
+        return int(self.n_i.sum())
 
     @property
     def n_configs(self) -> int:
         return self.n_ij.shape[0]
+
+    @functools.cached_property
+    def histogram(self) -> np.ndarray:
+        """Read-only rows (n_i, n_ij, m): the distinct pairs, sorted, of an
+        observed configuration's total and one of its cells, and their counts."""
+        seen, base = self.n_i > 0, self.n + 1
+        cells = self.n_ij[seen] + base * self.n_i[seen, None]
+        keys, m = np.unique(cells, return_counts=True)
+        (summary := np.stack([keys // base, keys % base, m])).setflags(write=False)
+        return summary
 
 
 def load_csv(

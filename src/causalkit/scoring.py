@@ -5,15 +5,16 @@ log-gamma form, plus whole-graph totals decomposed per node family.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import CategoricalDataset, CountTable, contingency_counts
 from .graph import Dag
 
 VARIANTS = ("paper", "canonical")
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -40,34 +41,35 @@ def bdeu_family_paper(counts: CountTable, alpha: float) -> float:
 
     score = sum_ij (n_ij + a/N_j) * ln((n_ij + a/N_j) / (n_i + a))
     with N_j the child cardinality.  Natural log; always finite because the
-    smoothing term keeps every log argument strictly positive.
+    smoothing term keeps every log argument strictly positive.  An unobserved
+    configuration adds -a * ln(N_j); the rest is read from `counts.histogram`.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    n_ij = counts.n_ij.astype(float)
-    smoothed = n_ij + alpha / counts.child_card
-    denom = counts.n_i.astype(float) + alpha
-    return float(np.sum(smoothed * np.log(smoothed / denom[:, None])))
+    n_i, n_ij, m = counts.histogram
+    r = counts.child_card
+    smoothed = n_ij + alpha / r
+    terms = (m * smoothed * np.log(smoothed / (n_i + alpha))).tolist()
+    unseen = counts.n_configs - int(m.sum()) // r
+    return math.fsum(terms) - unseen * alpha * math.log(r)
 
 
 def bdeu_family_canonical(counts: CountTable, alpha: float) -> float:
     """Canonical BDeu family score (log marginal likelihood, log-gamma form).
 
     alpha_i = alpha / N_i per configuration, split uniformly over child
-    states: alpha_ij = alpha / (N_i * N_j).
+    states: alpha_ij = alpha / (N_i * N_j).  Empty cells and unobserved
+    configurations add 0; each cell carries 1/N_j of its configuration's term.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    n_i = counts.n_i.astype(float)
-    n_ij = counts.n_ij.astype(float)
+    n_i, n_ij, m = counts.histogram
+    r = counts.child_card
     a_i = alpha / counts.n_configs
-    a_ij = a_i / counts.child_card
-    per_config = (
-        gammaln(a_i)
-        - gammaln(a_i + n_i)
-        + np.sum(gammaln(a_ij + n_ij) - gammaln(a_ij), axis=1)
-    )
-    return float(per_config.sum())
+    a_ij = a_i / r
+    cells = m * (_lgamma(a_ij + n_ij).astype(float) - math.lgamma(a_ij))
+    configs = m / r * (_lgamma(a_i + n_i).astype(float) - math.lgamma(a_i))
+    return math.fsum((cells - configs).tolist())
 
 
 _FAMILY = {"paper": bdeu_family_paper, "canonical": bdeu_family_canonical}

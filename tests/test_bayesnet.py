@@ -134,7 +134,9 @@ class TestInference:
     def test_evidence_as_indices_or_labels(self, chain_net):
         by_label = variable_elimination(chain_net, ["A"], {"B": "1"})
         by_index = variable_elimination(chain_net, [0], {1: 1})
+        by_numpy = variable_elimination(chain_net, [0], {np.int64(1): np.int64(1)})
         assert np.allclose(by_label.values, by_index.values)
+        assert by_numpy.values.tolist() == by_index.values.tolist()
 
     def test_query_evidence_overlap_rejected(self, chain_net):
         with pytest.raises(ValueError):
@@ -273,6 +275,11 @@ class TestPlanCache:
             ((0,), {99: 0}, UnknownVariable),
             (("A", "A"), {}, ValueError),
             ((1, "B"), {}, ValueError),
+            ((0,), {"B": 1.9}, TypeError),
+            ((0,), {"B": 1.0}, TypeError),
+            ((0,), {"B": True}, TypeError),
+            ((0,), {"B": "1", 1: 0}, ValueError),
+            ((0,), {1: 1, "B": 1}, ValueError),
         ],
     )
     def test_variable_indices_are_range_checked(

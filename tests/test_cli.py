@@ -646,6 +646,11 @@ class TestImports:
         argv = ["fit", "--graph", graph, "--data", data, "--out", out + ".json"]
         assert dispatch(argv) == 0
         seen["fit"] = loaded("scipy")
+        argv = ["score", "--graph", graph, "--data", data, "--ess", "5,10"]
+        assert dispatch(argv) == 0
+        seen["score"] = loaded("scipy")
+        assert dispatch(["compare", "--graphs", graph, graph, "--data", data]) == 0
+        seen["compare"] = loaded("scipy")
         argv = ["discover", "--algo", "pc", "--data", data, "--max-cond-size", "1"]
         assert dispatch(argv + ["--out", out + ".pc.json"]) == 0
         seen["pc"] = loaded("scipy.linalg", "scipy.optimize")
@@ -666,7 +671,8 @@ class TestImports:
         )
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == {
-            "import": [], "export-dot": [], "fit": [], "pc": [], "pc-ran": True
+            "import": [], "export-dot": [], "fit": [], "score": [], "compare": [],
+            "pc": [], "pc-ran": True,
         }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from causalkit.data import CategoricalDataset, contingency_counts
-from causalkit.graph import Dag
+from causalkit.graph import Dag, VariableScheme
 from causalkit.scoring import (
     VARIANTS,
     bdeu_family_canonical,
@@ -178,9 +179,15 @@ class TestTotals:
             reversed_dag = Dag(dag.scheme, frozenset((v, u) for u, v in dag.edges))
             bdeu_total(reversed_dag, data, 1.0, variant)
             names = data.scheme.names
+            fam = bdeu_family_paper if variant == "paper" else bdeu_family_canonical
             for idx, name in enumerate(names):
                 parents = [names[p] for p in dag.parents(idx)]
-                contingency_counts(data, name, parents[::-1])
+                # The score reads a summary that no parent order changes.
+                scores = {
+                    fam(contingency_counts(data, name, order), 5.0)
+                    for order in itertools.permutations(parents)
+                }
+                assert len(scores) == 1, (name, parents, scores)
             bdeu_total(dag, data, 15.0, variant)
             warm = bdeu_total(dag, data, 5.0, variant)
             fresh_data = CategoricalDataset(data.scheme, data.rows)
@@ -201,6 +208,65 @@ class TestTotals:
         payload = json.loads(report.to_json())
         assert payload["ess"] == 5.0
         assert payload["total"] == pytest.approx(report.total)
+
+
+class TestSparseWideTables:
+    """Several parents of cardinality 3-4 over few rows: most parent
+    configurations are never observed."""
+
+    @staticmethod
+    def _table(cards, rows):
+        scheme = VariableScheme.of(
+            [(f"X{i}", tuple(map(str, range(c)))) for i, c in enumerate(cards)]
+        )
+        data = CategoricalDataset(
+            scheme, np.array(rows, dtype=np.int64).reshape(len(rows), len(cards))
+        )
+        return contingency_counts(data, "X0", scheme.names[1:])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_literal_oracles(self, data):
+        cards = data.draw(st.lists(st.integers(3, 4), min_size=4, max_size=5))
+        rows = data.draw(
+            st.lists(st.tuples(*(st.integers(0, c - 1) for c in cards)), max_size=40)
+        )
+        alpha = data.draw(st.sampled_from([0.5, 1.0, 5.0, 15.0]))
+        counts = self._table(cards, rows)
+        n_ij = counts.n_ij.tolist()
+        assert bdeu_family_canonical(counts, alpha) == pytest.approx(
+            canonical_oracle(n_ij, alpha), rel=1e-12
+        )
+        assert bdeu_family_paper(counts, alpha) == pytest.approx(
+            paper_oracle(n_ij, alpha), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("alpha", [1.0, 10.0])
+    def test_zero_rows(self, alpha):
+        counts = self._table((3, 4, 3, 4), [])
+        q, r = counts.n_configs, counts.child_card
+        assert q == 48 and all(c.size == 0 for c in counts.histogram)
+        assert bdeu_family_canonical(counts, alpha) == 0.0
+        assert bdeu_family_paper(counts, alpha) == pytest.approx(
+            -q * alpha * math.log(r), rel=1e-12
+        )
+        assert bdeu_family_paper(counts, alpha) == pytest.approx(
+            paper_oracle(counts.n_ij.tolist(), alpha), rel=1e-12
+        )
+
+    def test_summaries_computed_once_and_read_only(self):
+        counts = self._table((3, 4, 3, 4), [(0, 1, 2, 3), (1, 1, 2, 3), (0, 0, 0, 0)])
+        assert counts.n_i is counts.n_i
+        assert counts.histogram is counts.histogram
+        n_i, n_ij, m = (column.tolist() for column in counts.histogram)
+        assert (n_i, n_ij, m) == ([1, 1, 2, 2], [0, 1, 0, 1], [2, 1, 1, 2])
+        assert counts.n_i[[0, 23]].tolist() == [1, 2] and counts.n_i.sum() == 3
+        for column in (counts.n_i, *counts.histogram):
+            with pytest.raises(ValueError):
+                column[0] = 5
+        for attr in ("n_i", "histogram"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(counts, attr, None)
 
 
 class TestScoreTable:
