@@ -327,6 +327,8 @@ def _variable(scheme: VariableScheme, key) -> int:
     """A name's index, or an index in [0, n): -1 is not the last variable."""
     if isinstance(key, str):
         return scheme.index(key)
+    if isinstance(key, bool):
+        raise TypeError(f"variable {key!r} is a bool, not an index")
     if not 0 <= (var := operator.index(key)) < len(scheme):
         raise UnknownVariable(f"variable index {key!r} not in [0, {len(scheme)})")
     return var

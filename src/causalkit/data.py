@@ -1,4 +1,4 @@
-"""Dataset ingestion, contingency counting, and descriptive analytics."""
+"""Dataset ingestion and contingency counting."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import numpy as np
 from .errors import (
     DuplicateParent,
     EmptyDataset,
-    EmptyInput,
     SchemaMismatch,
 )
 from .graph import VariableScheme
@@ -233,59 +232,3 @@ def contingency_counts(
     table = CountTable(child, parents, n_ij, child_card, parent_cards)
     data._counts[child, parents] = table
     return table
-
-
-def correlation_matrix(data: CategoricalDataset):
-    """Pearson correlation over the integer state encodings.
-
-    Cells involving a constant column are undefined; they are set to NaN and
-    listed in the returned report rather than raising.
-    """
-    if data.n < 2:
-        raise EmptyDataset("need at least 2 rows for correlation")
-    x = data.rows.astype(float)
-    std = x.std(axis=0)
-    constant = np.flatnonzero(std == 0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.corrcoef(x, rowvar=False)
-    for i in constant:
-        corr[i, :] = np.nan
-        corr[:, i] = np.nan
-    report = [data.scheme.names[i] for i in constant]
-    return corr, report
-
-
-def kaplan_meier(times, events):
-    """Product-limit survival estimator.
-
-    Returns a step function as a list of (event time, survival probability);
-    censored subjects shrink the risk set without adding steps.
-    """
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=bool)
-    if times.size == 0:
-        raise EmptyInput("no subjects")
-    if times.shape != events.shape:
-        raise EmptyInput("times and events lengths differ")
-    if (times < 0).any():
-        raise EmptyInput("negative time")
-
-    order = np.argsort(times, kind="stable")
-    times, events = times[order], events[order]
-    survival = 1.0
-    steps = []
-    i, n = 0, times.size
-    at_risk = n
-    while i < n:
-        t = times[i]
-        deaths = 0
-        removed = 0
-        while i < n and times[i] == t:
-            deaths += int(events[i])
-            removed += 1
-            i += 1
-        if deaths:
-            survival *= 1.0 - deaths / at_risk
-            steps.append((float(t), survival))
-        at_risk -= removed
-    return steps

@@ -33,10 +33,6 @@ class DuplicateParent(ToolkitError):
     pass
 
 
-class EmptyInput(ToolkitError):
-    pass
-
-
 class MarginalMismatch(ToolkitError):
     pass
 

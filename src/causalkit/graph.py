@@ -169,15 +169,6 @@ class Dag:
         return list(self._order)
 
 
-def mutate_edge(graph: Dag, action: str, parent: str, child: str) -> Dag:
-    """Value-semantics edge mutation: returns a new Dag, input unmodified."""
-    if action == "add":
-        return graph.add(parent, child)
-    if action == "remove":
-        return graph.remove(parent, child)
-    raise ValueError(f"action must be 'add' or 'remove', got {action!r}")
-
-
 @dataclass(frozen=True)
 class Pdag:
     """Partially directed graph: disjoint directed and undirected edge sets."""
@@ -213,10 +204,6 @@ class Pdag:
         pairs = {frozenset(e) for e in self.directed}
         pairs |= set(self.undirected)
         return pairs
-
-
-def topological_order(dag: Dag) -> list[str]:
-    return [dag.scheme.names[i] for i in dag.topological_order()]
 
 
 def _undirected_pairs_sorted(pdag: Pdag) -> list[tuple[int, int]]:

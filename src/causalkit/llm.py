@@ -68,20 +68,13 @@ class HttpBackend:
     """
 
     TIMEOUT_S = 60.0
+    MAX_RETRIES = 3
 
-    def __init__(
-        self,
-        url: str,
-        model: str,
-        transcript_path=None,
-        api_key_env: str = "LLM_API_KEY",
-        max_retries: int = 3,
-    ):
+    def __init__(self, url: str, model: str, transcript_path=None):
         self.url = url
         self.model = model
         self.transcript_path = transcript_path
-        self.api_key = os.environ.get(api_key_env, "")
-        self.max_retries = max_retries
+        self.api_key = os.environ.get("LLM_API_KEY", "")
 
     def send(self, prompt: str, temperature: float = 0.0) -> str:
         import requests
@@ -93,7 +86,7 @@ class HttpBackend:
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         delay = 1.0
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(self.MAX_RETRIES + 1):
             try:
                 response = requests.post(
                     self.url, json=payload, headers=headers, timeout=self.TIMEOUT_S
@@ -106,7 +99,7 @@ class HttpBackend:
                 if response.status_code != 429 and response.status_code < 500:
                     raise BackendError(f"backend returned {response.status_code}")
                 failure = f"backend returned {response.status_code}"
-            if attempt == self.max_retries:
+            if attempt == self.MAX_RETRIES:
                 raise BackendError(f"{failure} after retries")
             time.sleep(delay)
             delay *= 2
@@ -181,24 +174,12 @@ def render_pairwise_prompt(cause: str, effect: str, context: str = "NSCLC") -> s
     return f"Does {cause_name} effect {effect_name} in {context}"
 
 
-def pairwise_prompts(
-    scheme: VariableScheme, context: str = "NSCLC", mode: str = "symmetric"
-):
-    """Ordered (cause, effect, prompt) triples covering all pairs.
-
-    Symmetric mode asks each unordered pair once in scheme order
-    (n(n-1)/2 prompts); ordered mode asks both directions.
-    """
-    names = scheme.names
-    if mode == "symmetric":
-        pairs = itertools.combinations(names, 2)
-    elif mode == "ordered":
-        pairs = itertools.permutations(names, 2)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+def pairwise_prompts(scheme: VariableScheme, context: str = "NSCLC"):
+    """(cause, effect, prompt) triples asking each unordered pair once, in
+    scheme order (n(n-1)/2 prompts)."""
     return [
         (cause, effect, render_pairwise_prompt(cause, effect, context))
-        for cause, effect in pairs
+        for cause, effect in itertools.combinations(scheme.names, 2)
     ]
 
 
@@ -390,19 +371,16 @@ def elicit_graph(
     scheme: VariableScheme,
     backend,
     context: str = "NSCLC",
-    mode: str = "symmetric",
     constraints=("mutation doesn't cause symptoms.",),
 ):
     """Run one elicitation session; returns (Dag, ElicitationTranscript)."""
     transcript = ElicitationTranscript()
     if strategy == "pairwise":
         dag = Dag(scheme)
-        for cause, effect, prompt in pairwise_prompts(scheme, context, mode):
+        for cause, effect, prompt in pairwise_prompts(scheme, context):
             try:
                 completion = backend.send(prompt, temperature=0.0)
             except ReplayMiss:
-                if mode != "symmetric":
-                    raise
                 # The recorded session may have asked this pair reversed.
                 cause, effect = effect, cause
                 prompt = render_pairwise_prompt(cause, effect, context)

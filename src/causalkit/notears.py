@@ -23,6 +23,8 @@ from .graph import Dag, VariableScheme, is_acyclic
 
 log = logging.getLogger(__name__)
 
+RHO_MAX = 1e16  # the augmented Lagrangian stops raising rho (from 1) here
+
 
 @dataclass(frozen=True)
 class WeightedAdjacency:
@@ -45,18 +47,12 @@ class NotearsConfig:
     h_tol: float = 1e-8
     w_threshold: float = 0.5
     l1_penalty: float = 0.1
-    rho_init: float = 1.0
-    rho_max: float = 1e16
-    alpha_init: float = 0.0
 
     def __post_init__(self):
-        if min(self.max_iter, self.h_tol, self.w_threshold, self.rho_init,
-               self.rho_max) <= 0 or self.l1_penalty < 0:
+        if min(self.max_iter, self.h_tol, self.w_threshold) <= 0 or self.l1_penalty < 0:
             raise ValueError("config values must be positive")
         if self.h_tol >= 1:
             raise ValueError("h_tol must be < 1")
-        if self.rho_init >= self.rho_max:
-            raise ValueError("rho_init must be < rho_max")
 
 
 @dataclass(frozen=True)
@@ -93,21 +89,15 @@ def objective_and_grad(w: np.ndarray, x: np.ndarray, l1: float):
     return loss, grad
 
 
-def standardize(matrix: np.ndarray, scale: bool = False) -> np.ndarray:
-    """Center columns (constant columns become all-zero); with scale=True
-    also divide by the standard deviation.
+def standardize(matrix: np.ndarray) -> np.ndarray:
+    """Center columns (constant columns become all-zero).
 
     Centering without rescaling keeps regression weights in the data's
     units; equalizing variances would make edge direction unidentifiable
     for the least-squares loss.
     """
     x = np.asarray(matrix, dtype=float)
-    out = x - x.mean(axis=0)
-    if scale:
-        std = x.std(axis=0)
-        out = out / np.where(std == 0, 1.0, std)
-        out[:, std == 0] = 0.0
-    return out
+    return x - x.mean(axis=0)
 
 
 def _gram_loss(w: np.ndarray, c: np.ndarray):
@@ -165,11 +155,11 @@ def notears_fit(
     bounds = [(0, 0) if i == j else (0, None) for _ in range(2) for i in range(d) for j in range(d)]
 
     w = np.zeros((d, d))
-    rho, alpha = config.rho_init, config.alpha_init
+    rho, alpha = 1.0, 0.0
     h = np.inf
     for _ in range(config.max_iter):
         h_prev = h
-        while rho < config.rho_max:
+        while rho < RHO_MAX:
             w_new = _solve_subproblem(w, c, config.l1_penalty, rho, alpha, bounds)
             h_new, _ = acyclicity_h(w_new)
             if h_new > 0.25 * h_prev:
@@ -178,7 +168,7 @@ def notears_fit(
                 break
         w, h = w_new, h_new
         alpha += rho * h
-        if h <= config.h_tol or rho >= config.rho_max:
+        if h <= config.h_tol or rho >= RHO_MAX:
             break
     converged = h <= config.h_tol
     if not converged:

@@ -103,11 +103,9 @@ def d_separated(dag: Dag, x: int, y: int, cond) -> bool:
     cond = set(cond)
     ancestors_of_cond = set(cond)
     frontier = list(cond)
-    parents = {v: set(dag.parents(v)) for v in range(len(dag.scheme))}
-    children = {v: set(dag.children(v)) for v in range(len(dag.scheme))}
     while frontier:
         v = frontier.pop()
-        for p in parents[v]:
+        for p in dag.parents(v):
             if p not in ancestors_of_cond:
                 ancestors_of_cond.add(p)
                 frontier.append(p)
@@ -123,16 +121,16 @@ def d_separated(dag: Dag, x: int, y: int, cond) -> bool:
         if node == y and node not in cond:
             return False
         if direction == "up" and node not in cond:
-            for p in parents[node]:
+            for p in dag.parents(node):
                 frontier.append((p, "up"))
-            for c in children[node]:
+            for c in dag.children(node):
                 frontier.append((c, "down"))
         elif direction == "down":
             if node not in cond:
-                for c in children[node]:
+                for c in dag.children(node):
                     frontier.append((c, "down"))
             if node in ancestors_of_cond:
-                for p in parents[node]:
+                for p in dag.parents(node):
                     frontier.append((p, "up"))
     return True
 
@@ -222,72 +220,55 @@ def orient_v_structures(skeleton: Pdag, sepsets: SepsetMap) -> Pdag:
                 )
             continue
         directed.add((u, v))
-    undirected = frozenset(
-        pair
-        for pair in pairs
-        if not any(frozenset(e) == pair for e in directed)
-    )
+    undirected = frozenset(pairs - {frozenset(e) for e in directed})
     return Pdag(skeleton.scheme, frozenset(directed), undirected)
 
 
+def _meek_implies(a, b, directed, undirected, adj) -> bool:
+    """True if one of R1-R4 orients the undirected edge a - b as a -> b."""
+    spouses = (
+        c
+        for c in adj[a] & adj[b]
+        if frozenset((a, c)) in undirected and (c, b) in directed
+    )
+    return (
+        # R1: c -> a, a - b, c and b nonadjacent  =>  a -> b
+        any(
+            (c, a) in directed and b not in adj[c] and c != b
+            for c in adj[a]
+        )
+        # R2: a -> c -> b with a - b  =>  a -> b
+        or any(
+            (a, c) in directed and (c, b) in directed
+            for c in adj[a] & adj[b]
+        )
+        # R3: a - c, a - d, c -> b, d -> b, c and d nonadjacent  =>  a -> b
+        or any(
+            d not in adj[c]
+            for c, d in combinations(spouses, 2)
+        )
+        # R4: c -> d -> b, a adjacent to c, c and b nonadjacent  =>  a -> b
+        or any(
+            (d, b) in directed
+            and any(
+                (c, d) in directed and c in adj[a] and b not in adj[c]
+                for c in adj[d]
+            )
+            for d in adj[a] & adj[b]
+        )
+    )
+
+
 def _apply_meek_rules(directed: set, undirected: set, adj) -> bool:
-    """One sweep of rules R1-R4; returns True if any edge was oriented."""
-
-    def adjacent(a, b):
-        return b in adj[a]
-
-    changed = False
+    """Orient the first undirected edge, in sorted pair order and trying
+    both directions, that R1-R4 imply; returns True if one was oriented."""
     for pair in sorted(tuple(sorted(p)) for p in undirected):
         for a, b in (pair, pair[::-1]):
-            # R1: c -> a, a - b, c and b nonadjacent  =>  a -> b
-            if any(
-                (c, a) in directed and not adjacent(c, b) and c != b
-                for c in adj[a]
-            ):
-                _orient(a, b, directed, undirected)
-                changed = True
-                break
-            # R2: a -> c -> b with a - b  =>  a -> b
-            if any(
-                (a, c) in directed and (c, b) in directed
-                for c in adj[a] & adj[b]
-            ):
-                _orient(a, b, directed, undirected)
-                changed = True
-                break
-            # R3: a - c, a - d, c -> b, d -> b, c and d nonadjacent  =>  a -> b
-            spouses = [
-                c
-                for c in adj[a] & adj[b]
-                if frozenset((a, c)) in undirected and (c, b) in directed
-            ]
-            if any(
-                not adjacent(c, d)
-                for c, d in combinations(spouses, 2)
-            ):
-                _orient(a, b, directed, undirected)
-                changed = True
-                break
-            # R4: c -> d -> b, a adjacent to c, c and b nonadjacent  =>  a -> b
-            if any(
-                (d, b) in directed
-                and any(
-                    (c, d) in directed and adjacent(a, c) and not adjacent(c, b)
-                    for c in adj[d]
-                )
-                for d in adj[a] & adj[b]
-            ):
-                _orient(a, b, directed, undirected)
-                changed = True
-                break
-        if changed:
-            break
-    return changed
-
-
-def _orient(a, b, directed, undirected):
-    undirected.discard(frozenset((a, b)))
-    directed.add((a, b))
+            if _meek_implies(a, b, directed, undirected, adj):
+                undirected.discard(frozenset((a, b)))
+                directed.add((a, b))
+                return True
+    return False
 
 
 def meek_closure(pdag: Pdag) -> Pdag:
@@ -295,10 +276,7 @@ def meek_closure(pdag: Pdag) -> Pdag:
     directed = set(pdag.directed)
     undirected = set(pdag.undirected)
     adj: dict[int, set[int]] = {v: set() for v in range(len(pdag.scheme))}
-    for u, v in directed:
-        adj[u].add(v)
-        adj[v].add(u)
-    for pair in undirected:
+    for pair in pdag.skeleton_pairs():
         a, b = tuple(pair)
         adj[a].add(b)
         adj[b].add(a)
@@ -326,10 +304,9 @@ def dag_to_cpdag(dag: Dag) -> Pdag:
     """Pattern (CPDAG) of a DAG: skeleton, its v-structures, Meek closure."""
     scheme = dag.scheme
     directed = set()
-    adj = {v: set(dag.parents(v)) | set(dag.children(v)) for v in range(len(scheme))}
     for z in range(len(scheme)):
-        for x, y in combinations(sorted(dag.parents(z)), 2):
-            if y not in adj[x]:
+        for x, y in combinations(dag.parents(z), 2):
+            if (x, y) not in dag.edges and (y, x) not in dag.edges:
                 directed.add((x, z))
                 directed.add((y, z))
     undirected = {

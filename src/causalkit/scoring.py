@@ -4,7 +4,6 @@ log-gamma form, plus whole-graph totals decomposed per node family.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,17 +22,6 @@ class ScoreReport:
     total: float
     ess: float
     variant: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variant": self.variant,
-                "ess": self.ess,
-                "total": self.total,
-                "per_node": self.per_node,
-            },
-            indent=2,
-        )
 
 
 def bdeu_family_paper(counts: CountTable, alpha: float) -> float:

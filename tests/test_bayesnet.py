@@ -280,6 +280,8 @@ class TestPlanCache:
             ((0,), {"B": True}, TypeError),
             ((0,), {"B": "1", 1: 0}, ValueError),
             ((0,), {1: 1, "B": 1}, ValueError),
+            ((True,), {}, TypeError),
+            ((0,), {True: 1}, TypeError),
         ],
     )
     def test_variable_indices_are_range_checked(

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +8,12 @@ from causalkit.data import (
     CategoricalDataset,
     DiscretizationSpec,
     contingency_counts,
-    correlation_matrix,
-    kaplan_meier,
     load_csv,
     write_csv,
 )
 from causalkit.errors import (
     DuplicateParent,
     EmptyDataset,
-    EmptyInput,
     SchemaMismatch,
 )
 from causalkit.graph import VariableScheme
@@ -209,83 +204,6 @@ class TestContingency:
             for p in parents:
                 config = config * 2 + rows[idx, p]
             assert table.n_ij[config, rows[idx, child]] >= 1
-
-
-class TestCorrelation:
-    def test_perfect_correlation(self):
-        data = CategoricalDataset(
-            binary_scheme(2), np.array([[0, 0], [1, 1], [0, 0], [1, 1]])
-        )
-        corr, report = correlation_matrix(data)
-        assert report == []
-        assert corr[0, 1] == pytest.approx(1.0)
-
-    def test_anticorrelation(self):
-        data = CategoricalDataset(binary_scheme(2), np.array([[0, 1], [1, 0]]))
-        corr, _ = correlation_matrix(data)
-        assert corr[0, 1] == pytest.approx(-1.0)
-
-    def test_constant_column_reported_not_raised(self):
-        data = CategoricalDataset(binary_scheme(2), np.array([[0, 0], [0, 1]]))
-        corr, report = correlation_matrix(data)
-        assert report == ["X0"]
-        assert math.isnan(corr[0, 1])
-        assert not math.isnan(corr[1, 1])
-
-    def test_matches_numpy_oracle(self):
-        rng = np.random.default_rng(3)
-        rows = rng.integers(0, 2, size=(50, 4))
-        data = CategoricalDataset(binary_scheme(4), rows)
-        corr, report = correlation_matrix(data)
-        assert report == []
-        expected = np.corrcoef(rows.astype(float), rowvar=False)
-        assert np.allclose(corr, expected)
-
-
-class TestKaplanMeier:
-    def test_no_censoring_hand_computed(self):
-        # Deaths at 1, 2, 3 out of 3 subjects: S = 2/3, 1/3, 0.
-        steps = kaplan_meier([1, 2, 3], [1, 1, 1])
-        assert steps == [
-            (1.0, pytest.approx(2 / 3)),
-            (2.0, pytest.approx(1 / 3)),
-            (3.0, pytest.approx(0.0)),
-        ]
-
-    def test_censoring_shrinks_risk_set_without_step(self):
-        # Death at 1 (n=4 -> S=0.75), censor at 2, death at 3 with 2 at risk.
-        steps = kaplan_meier([1, 2, 3, 5], [1, 0, 1, 0])
-        assert steps == [
-            (1.0, pytest.approx(0.75)),
-            (3.0, pytest.approx(0.375)),
-        ]
-
-    def test_tied_deaths(self):
-        steps = kaplan_meier([2, 2, 4, 4], [1, 1, 1, 0])
-        assert steps == [(2.0, pytest.approx(0.5)), (4.0, pytest.approx(0.25))]
-
-    def test_input_validation(self):
-        with pytest.raises(EmptyInput):
-            kaplan_meier([], [])
-        with pytest.raises(EmptyInput):
-            kaplan_meier([1, 2], [1])
-        with pytest.raises(EmptyInput):
-            kaplan_meier([-1], [1])
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 100), st.booleans()), min_size=1, max_size=30
-        )
-    )
-    def test_monotone_nonincreasing_in_unit_interval(self, subjects):
-        times = [t for t, _ in subjects]
-        events = [e for _, e in subjects]
-        steps = kaplan_meier(times, events)
-        values = [s for _, s in steps]
-        assert all(0.0 <= v <= 1.0 for v in values)
-        assert all(a >= b for a, b in zip(values, values[1:]))
-        assert [t for t, _ in steps] == sorted({t for t, _ in steps})
 
 
 class TestDefaults:

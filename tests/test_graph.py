@@ -12,10 +12,8 @@ from causalkit.graph import (
     Pdag,
     VariableScheme,
     is_acyclic,
-    mutate_edge,
     parse_graph_json,
     serialize_graph,
-    topological_order,
 )
 
 from conftest import binary_scheme
@@ -58,29 +56,29 @@ class TestScheme:
 class TestMutateEdge:
     def test_add_single_edge(self):
         s = binary_scheme(2)
-        g = mutate_edge(Dag(s), "add", "X0", "X1")
+        g = Dag(s).add("X0", "X1")
         assert g.edges == {(0, 1)}
 
     def test_two_cycle_rejected(self):
         s = binary_scheme(2)
         g = Dag.from_names(s, [("X0", "X1")])
         with pytest.raises(CycleError):
-            mutate_edge(g, "add", "X1", "X0")
+            g.add("X1", "X0")
 
     def test_remove_is_inverse_of_add(self):
         s = binary_scheme(2)
-        g = mutate_edge(Dag(s), "add", "X0", "X1")
-        assert mutate_edge(g, "remove", "X0", "X1").edges == frozenset()
+        g = Dag(s).add("X0", "X1")
+        assert g.remove("X0", "X1").edges == frozenset()
 
     def test_value_semantics(self):
         s = binary_scheme(2)
         g = Dag(s)
-        mutate_edge(g, "add", "X0", "X1")
+        g.add("X0", "X1")
         assert g.edges == frozenset()
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):
-            mutate_edge(Dag(binary_scheme(2)), "add", "X0", "Z9")
+            Dag(binary_scheme(2)).add("X0", "Z9")
 
 
 class TestIsAcyclic:
@@ -126,17 +124,17 @@ class TestIsAcyclic:
 class TestTopologicalOrder:
     def test_empty_graph_gives_scheme_order(self):
         s = VariableScheme.of([(n, ("0", "1")) for n in "ABC"])
-        assert topological_order(Dag(s)) == ["A", "B", "C"]
+        assert Dag(s).topological_order() == [0, 1, 2]
 
     def test_tie_break(self):
         s = VariableScheme.of([(n, ("0", "1")) for n in "ABC"])
         g = Dag.from_names(s, [("C", "A")])
-        assert topological_order(g) == ["B", "C", "A"]
+        assert g.topological_order() == [1, 2, 0]
 
     def test_chain(self):
         s = VariableScheme.of([(n, ("0", "1")) for n in "ABC"])
         g = Dag.from_names(s, [("A", "B"), ("B", "C")])
-        assert topological_order(g) == ["A", "B", "C"]
+        assert g.topological_order() == [0, 1, 2]
 
     @settings(max_examples=50, deadline=None)
     @given(st.data())

@@ -46,14 +46,6 @@ class TestPrompts:
         assert len(prompts) == 18 * 17 // 2 == 153
         assert len({p for _, _, p in prompts}) == 153
 
-    def test_ordered_mode_counts(self):
-        prompts = pairwise_prompts(SCHEME, mode="ordered")
-        assert len(prompts) == 18 * 17 == 306
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            pairwise_prompts(SCHEME, mode="both")
-
     def test_single_prompt_layout(self):
         prompt = render_single_prompt(SCHEME, ("mutation doesn't cause symptoms.",))
         assert prompt.startswith(
@@ -287,13 +279,15 @@ class TestHttpBackend:
         monkeypatch.setattr(llm.time, "sleep", sleeps.append)
         return calls, sleeps, replies
 
-    def test_completion_and_timeout(self, fake, tmp_path):
+    def test_completion_and_timeout(self, fake, tmp_path, monkeypatch):
         calls, sleeps, replies = fake
         replies.append(_response(200, _completion("yes")))
         transcript = tmp_path / "t.jsonl"
+        monkeypatch.setenv("LLM_API_KEY", "k")
         backend = HttpBackend("http://llm.invalid/v1", "m", transcript)
         assert backend.send("p") == "yes"
         assert calls[0]["timeout"] == HttpBackend.TIMEOUT_S > 0
+        assert calls[0]["headers"] == {"Authorization": "Bearer k"}
         assert calls[0]["json"]["messages"] == [{"role": "user", "content": "p"}]
         assert json.loads(transcript.read_text())["completion"] == "yes"
         assert sleeps == []
@@ -302,8 +296,9 @@ class TestHttpBackend:
         calls, sleeps, replies = fake
         replies.extend(requests.ConnectionError("refused") for _ in range(4))
         with pytest.raises(BackendError, match="refused"):
-            HttpBackend("http://llm.invalid/v1", "m", max_retries=3).send("p")
-        assert len(calls) == 4 and sleeps == [1.0, 2.0, 4.0]
+            HttpBackend("http://llm.invalid/v1", "m").send("p")
+        assert len(calls) == HttpBackend.MAX_RETRIES + 1 == 4
+        assert sleeps == [1.0, 2.0, 4.0]
 
     def test_timeout_then_success(self, fake):
         calls, sleeps, replies = fake

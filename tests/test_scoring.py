@@ -200,15 +200,6 @@ class TestTotals:
         with pytest.raises(ValueError):
             bdeu_total(dag, data, 5.0, "bogus")
 
-    def test_report_json(self):
-        dag, data = self._random_case(0)
-        report = bdeu_total(dag, data, 5.0)
-        import json
-
-        payload = json.loads(report.to_json())
-        assert payload["ess"] == 5.0
-        assert payload["total"] == pytest.approx(report.total)
-
 
 class TestSparseWideTables:
     """Several parents of cardinality 3-4 over few rows: most parent
