@@ -2,7 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import re
 import textwrap
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -303,6 +305,22 @@ class TestExitCodes:
         if message is not None:
             assert err == f"error: {bad}: {message}\n"
         assert not out.exists()
+
+
+class TestConsoleScript:
+    def test_entry_point_in_pyproject_runs_the_cli(self, monkeypatch, capsys):
+        # pyproject.toml's [project.scripts] names the function that the
+        # installed `causalkit` command calls.
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        scripts = pyproject.read_text().split("[project.scripts]\n", 1)[1]
+        target = re.match(r'causalkit = "([^"]+)"\n', scripts).group(1)
+        module, _, name = target.partition(":")
+        main = getattr(import_module(module), name)
+        monkeypatch.setattr(sys, "argv", ["causalkit", "--help"])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: causalkit")
 
 
 class TestCohort:

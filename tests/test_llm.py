@@ -12,7 +12,7 @@ from causalkit.errors import (
     SchemaMismatch,
     VariableAliasUnknown,
 )
-from causalkit.graph import Dag
+from causalkit.graph import Dag, VariableScheme
 from causalkit.llm import (
     ElicitationTranscript,
     HttpBackend,
@@ -192,6 +192,30 @@ class TestElicitation:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             elicit_graph("vote", SCHEME, ReplayBackend({}))
+
+    def test_pairwise_falls_back_to_the_reversed_prompt(self):
+        # The recorded session asked (C, B) instead of (B, C); its verdict
+        # orients the edge the way that prompt asked.
+        scheme = VariableScheme.of([(n, ("0", "1")) for n in "ABC"])
+        backend = ReplayBackend(
+            {
+                render_pairwise_prompt("A", "B"): "Yes, it does.",
+                render_pairwise_prompt("A", "C"): "No direct effect.",
+                render_pairwise_prompt("C", "B"): "Yes, it does.",
+            }
+        )
+        dag, transcript = elicit_graph("pairwise", scheme, backend)
+        assert dag.edges == {(0, 1), (2, 1)}
+        assert [p for p, _, _ in transcript.exchanges] == [
+            render_pairwise_prompt("A", "B"),
+            render_pairwise_prompt("A", "C"),
+            render_pairwise_prompt("C", "B"),
+        ]
+
+    def test_pairwise_miss_in_both_orders_raises(self):
+        scheme = VariableScheme.of([(n, ("0", "1")) for n in "AB"])
+        with pytest.raises(ReplayMiss):
+            elicit_graph("pairwise", scheme, ReplayBackend({}))
 
 
 class TestRefinement:

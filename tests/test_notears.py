@@ -137,6 +137,12 @@ class TestStandardize:
         # Column scale is preserved.
         assert np.allclose(out[:, 1], [-10.0, 10.0])
 
+    def test_constant_column_becomes_zero(self):
+        x = np.array([[1.0, 5.0], [3.0, 5.0], [8.0, 5.0]])
+        out = standardize(x)
+        assert np.array_equal(out[:, 1], np.zeros(3))
+        assert np.allclose(out[:, 0], [-3.0, -1.0, 4.0])
+
 
 class TestConfig:
     def test_defaults(self):
@@ -215,6 +221,27 @@ class TestFit:
         x = rng.normal(size=(1000, 4))
         result = notears_fit(x, scheme=binary_scheme(4))
         assert result.dag.edges == frozenset()
+
+
+    def test_penalty_stops_growing_at_rho_max(self, monkeypatch, caplog):
+        # A subproblem that never reduces h: the first solve is accepted at
+        # rho = 1, then rho climbs by factors of 10 and the fit gives up once
+        # it reaches RHO_MAX.
+        cycle = np.array([[0.0, 1.0], [1.0, 0.0]])
+        rhos = []
+
+        def stuck(w0, c, l1, rho, alpha, bounds):
+            rhos.append(rho)
+            return cycle
+
+        monkeypatch.setattr(notears, "_solve_subproblem", stuck)
+        with caplog.at_level("WARNING", logger="causalkit.notears"):
+            result = notears_fit(np.eye(2), scheme=binary_scheme(2))
+        assert rhos == [1.0, *(10.0**k for k in range(16))]
+        assert 10.0 * rhos[-1] == notears.RHO_MAX
+        assert not result.converged
+        assert result.h_final == acyclicity_h(cycle)[0] > 0
+        assert any("did not reach" in r.getMessage() for r in caplog.records)
 
 
 class TestWeightedAdjacency:

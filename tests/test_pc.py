@@ -177,6 +177,15 @@ class TestDSeparation:
         assert d_separated(dag, 0, 1, ())
         assert not d_separated(dag, 0, 1, (3,))
 
+    def test_reads_the_edges_of_the_dag_it_is_given(self):
+        # d_separated walks the Dag's cached parents/children; an edge added
+        # to a copy must open a path there and nowhere else.
+        chain = Dag.from_names(binary_scheme(3), CHAIN)
+        assert d_separated(chain, 0, 2, (1,))
+        shortcut = chain.add("X0", "X2")
+        assert not d_separated(shortcut, 0, 2, (1,))
+        assert d_separated(chain, 0, 2, (1,))
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_moralization_oracle(self, data):
@@ -347,6 +356,15 @@ class TestOrientation:
         warned = [frozenset(r.args) for r in caplog.records]
         assert sorted(map(sorted, warned)) == sorted(map(sorted, out.undirected))
 
+    def test_oriented_edges_leave_the_undirected_set(self):
+        dag = Dag.from_names(
+            binary_scheme(4), [("X0", "X2"), ("X1", "X2"), ("X2", "X3")]
+        )
+        skeleton, sepsets = learn_skeleton(make_ci_from_dag(dag))
+        out = orient_v_structures(skeleton, sepsets)
+        assert out.directed == {(0, 2), (1, 2)}
+        assert out.undirected == {frozenset((2, 3))}
+
 
 class TestMeekRules:
     def test_r1(self):
@@ -386,6 +404,37 @@ class TestMeekRules:
         )
         out = meek_closure(pdag)
         assert (0, 1) in out.directed
+
+    @pytest.mark.parametrize(
+        "directed, undirected, expected_directed",
+        [
+            # R1 with X0 and X2 adjacent.
+            ([("X0", "X1")], [("X1", "X2"), ("X0", "X2")], {(0, 1)}),
+            # R3 with the spouses X1 and X2 adjacent.
+            (
+                [("X1", "X3"), ("X2", "X3")],
+                [("X0", "X1"), ("X0", "X2"), ("X0", "X3"), ("X1", "X2")],
+                {(1, 3), (2, 3)},
+            ),
+            # R4 with X2 and X1 adjacent: only R2 fires, on X2 - X1.
+            (
+                [("X2", "X3"), ("X3", "X1")],
+                [("X0", "X1"), ("X0", "X2"), ("X0", "X3"), ("X1", "X2")],
+                {(2, 3), (3, 1), (2, 1)},
+            ),
+        ],
+        ids=["r1", "r3", "r4"],
+    )
+    def test_shielded_pattern_orients_nothing_by_its_rule(
+        self, directed, undirected, expected_directed
+    ):
+        n = 1 + max(int(name[1:]) for edge in directed + undirected for name in edge)
+        pdag = Pdag.from_names(
+            binary_scheme(n), directed=directed, undirected=undirected
+        )
+        out = meek_closure(pdag)
+        assert out.directed == expected_directed
+        assert out.skeleton_pairs() == pdag.skeleton_pairs()
 
     def test_never_unorients(self):
         scheme = binary_scheme(3)
