@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import nsclc
 from .data import DiscretizationSpec, load_csv, write_csv
-from .errors import CycleError, ToolkitError
+from .errors import ToolkitError
 from .graph import (
     Dag,
     Pdag,
@@ -288,10 +288,6 @@ def _cmd_discover(args, scheme):
             max_cond_size=args.max_cond_size,
             test=args.ci_test,
         )
-        try:
-            Dag(scheme, graph.directed)
-        except CycleError:
-            print("warning: the edges PC directed form a cycle", file=sys.stderr)
     else:
         from .notears import NotearsConfig, notears_fit
 

@@ -35,64 +35,115 @@ class SepsetMap:
         return self.sets.get(frozenset((x, y)))
 
 
+# Upper bound on the codes (rows x conditioning sets) one batch counts: about
+# six sets at n = 10,000 and 65 at n = 1,000.  Smaller batches pay numpy's
+# per-call cost more often; larger ones compute more sets past the first
+# independence, which ends a pair's search.
+_BATCH_CODES = 1 << 16
+
+
+def _ci_batches(columns, cards, x, y, conds, test):
+    """Yield (stat, p, dof) arrays for x and y given each conditioning set in
+    `conds` (tuples of one size), one batch at a time, in order.
+
+    `columns[v]` is the data column of variable v.  Each batch is one
+    bincount over every set's (stratum, x, y) cells, laid end to end.
+    Each set's statistic is one sum over its own contiguous slice of terms,
+    so it is bit-identical to counting that set alone (np.add.reduceat
+    would sum in another order).
+    """
+    rx, ry = cards[x], cards[y]
+    cells = rx * ry
+    card = np.asarray(cards)
+    xy = columns[x] * ry + columns[y]
+    step = max(1, _BATCH_CODES // max(len(xy), 1))
+    for start in range(0, len(conds), step):
+        batch = np.array(conds[start:start + step], dtype=np.intp)  # (m, level)
+        m = len(batch)
+        # A set's code is its offset + stratum * cells + the (x, y) code; the
+        # stratum puts the set's first variable most significant.
+        strata = np.prod(card[batch], axis=1)
+        offsets = np.cumsum(strata) - strata
+        codes = np.add.outer(offsets * cells, xy)
+        stride = np.full(m, cells)
+        for j in reversed(range(batch.shape[1])):
+            term = columns[batch[:, j]]
+            term *= stride[:, None]
+            codes += term
+            stride *= card[batch[:, j]]
+        tables = np.bincount(codes.ravel(), minlength=int(strata.sum()) * cells)
+        tables = tables.reshape(-1, rx, ry)
+        n_s = tables.sum(axis=(1, 2))
+        nonempty = n_s > 0
+        # Nonempty strata per set; a set with none means no rows at all.
+        kept = np.add.reduceat(nonempty, offsets, dtype=np.int64)
+        if not kept.all():
+            raise InsufficientData("every conditioning stratum is empty")
+
+        tables = tables[nonempty]
+        expected = (
+            tables.sum(axis=2, keepdims=True)
+            * tables.sum(axis=1, keepdims=True)
+            / n_s[nonempty, None, None]
+        )
+        mask = tables > 0 if test == "g2" else expected > 0
+        observed, expected = tables[mask], expected[mask]
+        if test == "g2":
+            terms, scale = observed * np.log(observed / expected), 2.0
+        elif test == "chi2":
+            terms, scale = (observed - expected) ** 2 / expected, 1.0
+        else:
+            raise ValueError(f"unknown test {test!r}")
+        # One past each set's last term: the running term count at the end
+        # of the set's last nonempty stratum.
+        ends = np.cumsum(mask.sum(axis=(1, 2)))[np.cumsum(kept) - 1].tolist()
+        stat = np.array([
+            scale * float(np.add.reduce(terms[lo:hi]))
+            for lo, hi in zip([0] + ends[:-1], ends)
+        ])
+        dof = (rx - 1) * (ry - 1) * kept
+        p = np.ones(m)
+        p[dof > 0] = chdtrc(dof[dof > 0], stat[dof > 0])
+        yield stat, p, dof
+
+
 def ci_test_g2(data: CategoricalDataset, x: int, y: int, cond=(), test="g2"):
     """Conditional independence test for discrete columns.
 
-    Returns (statistic, p_value, dof).  Degrees of freedom are reduced for
-    conditioning strata with no observations; zero-count cells contribute
-    nothing to the statistic.  One bincount gives the (x, y) table of every
-    stratum, and the statistic is summed over all of them at once.
+    Returns (statistic, p_value, dof), computed as a batch of one.  Degrees
+    of freedom are reduced for conditioning strata with no observations;
+    zero-count cells contribute nothing to the statistic.
     """
     cards = data.scheme.cardinalities()
-    rx, ry = cards[x], cards[y]
-    flat = data.rows[:, x] * ry + data.rows[:, y]
-    size = rx * ry
-    for c in reversed(tuple(cond)):
-        flat += data.rows[:, c] * size
-        size *= cards[c]
-    tables = np.bincount(flat, minlength=size).reshape(-1, rx, ry)
-    n_s = tables.sum(axis=(1, 2))
-    nonempty = n_s > 0
-    if not nonempty.any():
-        raise InsufficientData("every conditioning stratum is empty")
-
-    tables = tables[nonempty]
-    expected = (
-        tables.sum(axis=2, keepdims=True)
-        * tables.sum(axis=1, keepdims=True)
-        / n_s[nonempty, None, None]
-    )
-    mask = tables > 0 if test == "g2" else expected > 0
-    observed, expected = tables[mask], expected[mask]
-    if test == "g2":
-        stat = 2.0 * float(np.sum(observed * np.log(observed / expected)))
-    elif test == "chi2":
-        stat = float(np.sum((observed - expected) ** 2 / expected))
-    else:
-        raise ValueError(f"unknown test {test!r}")
-    dof = (rx - 1) * (ry - 1) * int(nonempty.sum())
-    p = float(chdtrc(dof, stat)) if dof > 0 else 1.0
-    return stat, p, dof
+    batches = _ci_batches(data.rows.T, cards, x, y, [tuple(cond)], test)
+    stat, p, dof = next(batches)
+    return float(stat[0]), float(p[0]), int(dof[0])
 
 
 def make_ci_from_data(data: CategoricalDataset, test: str = "g2"):
+    """CI callable over data: ci(x, y, conds) yields the p-values of the
+    conditioning sets `conds`, a list of equal-size tuples, in order and in
+    batches, each batch computed only when it is reached."""
     # A column-major copy, made once per run, turns every column that a
     # test reads into a contiguous array.
-    columns = CategoricalDataset(data.scheme, np.ascontiguousarray(data.rows.T).T)
+    columns = np.ascontiguousarray(data.rows.T)
+    cards = data.scheme.cardinalities()
 
-    def ci(x: int, y: int, cond) -> float:
-        _, p, _ = ci_test_g2(columns, x, y, cond, test=test)
-        return p
+    def ci(x: int, y: int, conds):
+        for _, p, _ in _ci_batches(columns, cards, x, y, conds, test):
+            yield p.tolist()
 
     ci.scheme = data.scheme
     return ci
 
 
 def make_ci_from_dag(dag: Dag):
-    """d-separation oracle with the CI-callable interface (p in {0, 1})."""
+    """d-separation oracle with the CI-callable interface: one verdict
+    (p in {0, 1}) per batch, each computed only when it is reached."""
 
-    def ci(x: int, y: int, cond) -> float:
-        return 1.0 if d_separated(dag, x, y, cond) else 0.0
+    def ci(x: int, y: int, conds):
+        for cond in conds:
+            yield [1.0 if d_separated(dag, x, y, cond) else 0.0]
 
     ci.scheme = dag.scheme
     return ci
@@ -142,10 +193,14 @@ def learn_skeleton(
 ) -> tuple[Pdag, SepsetMap]:
     """Stable-PC skeleton search.
 
-    `ci` is a callable (x, y, cond) -> p-value carrying a `.scheme`
-    attribute; use make_ci_from_data or make_ci_from_dag.  Conditioning sets
-    grow level by level and deletions are batched per level, making the
-    result independent of edge traversal order.
+    `ci` is a callable (x, y, conds) yielding, in batches and in order, the
+    p-values of the conditioning sets `conds`; it carries a `.scheme`
+    attribute (use make_ci_from_data or make_ci_from_dag).  Conditioning
+    sets grow level by level and deletions are batched per level, making the
+    result independent of edge traversal order.  A pair's candidate sets are
+    those from x's neighbours, then those from y's not already listed; the
+    first with p > alpha_level separates the pair.  One DEBUG line per level
+    gives the p-values computed and the edges removed.
     """
     if not 0 < alpha_level < 1:
         raise ValueError("alpha_level must be in (0, 1)")
@@ -162,24 +217,37 @@ def learn_skeleton(
         if all(len(snapshot[v]) - 1 < level for v in snapshot):
             break
         removals = []
+        computed = 0
         for x, y in combinations(range(n), 2):
             if y not in adj[x]:
                 continue
-            found = None
-            for base in (snapshot[x] - {y}, snapshot[y] - {x}):
-                for cond in combinations(sorted(base), level):
-                    if ci(x, y, cond) > alpha_level:
-                        found = cond
-                        break
-                if found is not None:
+            conds = list(combinations(sorted(snapshot[x] - {y}), level))
+            listed = set(conds)
+            conds += [
+                c
+                for c in combinations(sorted(snapshot[y] - {x}), level)
+                if c not in listed
+            ]
+            tested = 0
+            for batch in ci(x, y, conds) if conds else ():
+                hit = next(
+                    (i for i, p in enumerate(batch, tested) if p > alpha_level), None
+                )
+                tested += len(batch)
+                if hit is not None:
+                    removals.append((x, y, conds[hit]))
                     break
-            if found is not None:
-                removals.append((x, y, found))
+            computed += tested
         for x, y, cond in removals:
-            if y in adj[x]:
-                adj[x].discard(y)
-                adj[y].discard(x)
-                sepsets.put(x, y, cond)
+            adj[x].discard(y)
+            adj[y].discard(x)
+            sepsets.put(x, y, cond)
+        log.debug(
+            "PC level %d: %d CI p-values computed, %d edges removed",
+            level,
+            computed,
+            len(removals),
+        )
         level += 1
 
     undirected = frozenset(
@@ -259,20 +327,54 @@ def _meek_implies(a, b, directed, undirected, adj) -> bool:
     )
 
 
-def _apply_meek_rules(directed: set, undirected: set, adj) -> bool:
+def _reaches(src, dst, directed, adj) -> bool:
+    """True if a path of directed edges leads from src to dst."""
+    seen, frontier = {src}, [src]
+    while frontier:
+        u = frontier.pop()
+        if u == dst:
+            return True
+        for v in adj[u] - seen:
+            if (u, v) in directed:
+                seen.add(v)
+                frontier.append(v)
+    return False
+
+
+def _apply_meek_rules(directed: set, undirected: set, adj, refused=None) -> bool:
     """Orient the first undirected edge, in sorted pair order and trying
-    both directions, that R1-R4 imply; returns True if one was oriented."""
-    for pair in sorted(tuple(sorted(p)) for p in undirected):
+    both directions, that R1-R4 imply; returns True if one was oriented.
+
+    Given a `refused` set, an implied a -> b whose b already reaches a by
+    directed edges is refused instead (and True returned): the pair joins
+    `refused`, stays undirected and is skipped from then on.
+    """
+    for pair in sorted(tuple(sorted(p)) for p in undirected - (refused or set())):
         for a, b in (pair, pair[::-1]):
             if _meek_implies(a, b, directed, undirected, adj):
-                undirected.discard(frozenset((a, b)))
-                directed.add((a, b))
+                if refused is not None and _reaches(b, a, directed, adj):
+                    log.warning(
+                        "orienting (%d, %d) would close a directed cycle; "
+                        "kept undirected",
+                        a,
+                        b,
+                    )
+                    refused.add(frozenset(pair))
+                else:
+                    undirected.discard(frozenset(pair))
+                    directed.add((a, b))
                 return True
     return False
 
 
-def meek_closure(pdag: Pdag) -> Pdag:
-    """Apply R1-R4 to fixpoint.  Never un-orients an edge."""
+def meek_closure(pdag: Pdag, acyclic: bool = False) -> Pdag:
+    """Apply R1-R4 to fixpoint.  Never un-orients an edge.
+
+    Meek's rules are sound only for a consistent pattern; on colliders
+    from sampled data they can close a directed cycle.  With
+    `acyclic=True` (as pc_run uses it) such an orientation is refused, the
+    edge stays undirected and a warning is logged.
+    """
     directed = set(pdag.directed)
     undirected = set(pdag.undirected)
     adj: dict[int, set[int]] = {v: set() for v in range(len(pdag.scheme))}
@@ -280,7 +382,8 @@ def meek_closure(pdag: Pdag) -> Pdag:
         a, b = tuple(pair)
         adj[a].add(b)
         adj[b].add(a)
-    while _apply_meek_rules(directed, undirected, adj):
+    refused = set() if acyclic else None
+    while _apply_meek_rules(directed, undirected, adj, refused):
         pass
     return Pdag(pdag.scheme, frozenset(directed), frozenset(undirected))
 
@@ -291,13 +394,14 @@ def pc_run(
     max_cond_size: int | None = None,
     test: str = "g2",
 ) -> Pdag:
-    """Full pipeline: skeleton -> collider orientation -> Meek closure."""
+    """Full pipeline: skeleton -> collider orientation -> Meek closure, the
+    closure refusing any orientation that would close a directed cycle."""
     if isinstance(ci_or_data, CategoricalDataset):
         ci = make_ci_from_data(ci_or_data, test=test)
     else:
         ci = ci_or_data
     skeleton, sepsets = learn_skeleton(ci, alpha_level, max_cond_size)
-    return meek_closure(orient_v_structures(skeleton, sepsets))
+    return meek_closure(orient_v_structures(skeleton, sepsets), acyclic=True)
 
 
 def dag_to_cpdag(dag: Dag) -> Pdag:

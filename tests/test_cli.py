@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import causalkit
-from causalkit import nsclc, pc
+from causalkit import nsclc
 from causalkit.cli import dispatch
 from causalkit.graph import Dag, Pdag, parse_graph_json, serialize_graph
 from causalkit.synth import reference_network, sample_from_network
@@ -590,18 +590,6 @@ class TestDiscover:
         graph = parse_graph_json(out.read_text())
         assert isinstance(graph, (Dag, Pdag))
         assert "warning:" not in capsys.readouterr().err
-
-    def test_pc_directed_cycle_warns(self, workdir, capsys, monkeypatch):
-        cyclic = Pdag(nsclc.SCHEME, frozenset({(0, 1), (1, 2), (2, 0)}))
-        monkeypatch.setattr(pc, "pc_run", lambda data, **kwargs: cyclic)
-        out = workdir / "pc.json"
-        argv = ["discover", "--algo", "pc", "--data", str(workdir / "data.csv")]
-        assert dispatch(argv + ["--out", str(out)]) == 0
-        warnings = [
-            line for line in capsys.readouterr().err.splitlines() if "warning" in line
-        ]
-        assert warnings == ["warning: the edges PC directed form a cycle"]
-        assert out.read_text() == serialize_graph(cyclic, "json")
 
     def test_notears_writes_dot(self, workdir):
         out = workdir / "nt.dot"

@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalkit
+from causalkit import pc
 from causalkit.data import CategoricalDataset
-from causalkit.errors import InsufficientData
+from causalkit.errors import CycleError, InsufficientData
 from causalkit.graph import Dag, Pdag, VariableScheme
 from causalkit.pc import (
     SepsetMap,
@@ -27,7 +29,7 @@ from causalkit.pc import (
     structural_hamming_distance,
 )
 from causalkit.bayesnet import BayesianNetwork, Cpd
-from causalkit.synth import sample_from_network
+from causalkit.synth import reference_network, sample_from_network
 
 from conftest import binary_scheme
 
@@ -132,6 +134,37 @@ def loop_ci_test(data, x, y, cond=(), test="g2"):
     return stat, (chi2.sf(stat, dof) if dof > 0 else 1.0), dof
 
 
+def one_table_ci_test(data, x, y, cond=(), test="g2"):
+    """Reference CI test for one set: one bincount, then np.sum over every
+    stratum's terms at once (the single-set form the batches must equal)."""
+    from scipy.stats import chi2
+
+    cards = data.scheme.cardinalities()
+    rows = np.asarray(data.rows)
+    rx, ry = cards[x], cards[y]
+    flat = rows[:, x] * ry + rows[:, y]
+    size = rx * ry
+    for c in reversed(cond):
+        flat = flat + rows[:, c] * size
+        size *= cards[c]
+    tables = np.bincount(flat, minlength=size).reshape(-1, rx, ry)
+    n_s = tables.sum(axis=(1, 2))
+    tables = tables[n_s > 0]
+    expected = (
+        tables.sum(axis=2, keepdims=True)
+        * tables.sum(axis=1, keepdims=True)
+        / n_s[n_s > 0, None, None]
+    )
+    mask = tables > 0 if test == "g2" else expected > 0
+    observed, expected = tables[mask], expected[mask]
+    if test == "g2":
+        stat = 2.0 * float(np.sum(observed * np.log(observed / expected)))
+    else:
+        stat = float(np.sum((observed - expected) ** 2 / expected))
+    dof = (rx - 1) * (ry - 1) * len(tables)
+    return stat, (float(chi2.sf(stat, dof)) if dof > 0 else 1.0), dof
+
+
 def random_cohort(seed):
     """Small cohort of 3-6 variables with 2-4 states, the last one constant
     for every third seed, so that many conditioning strata are empty."""
@@ -148,6 +181,51 @@ def random_cohort(seed):
     if seed % 3 == 0:
         rows[:, -1] = 0
     return CategoricalDataset(scheme, rows), rng
+
+
+def loop_skeleton(ci_one, scheme, alpha_level=0.05, max_cond_size=None):
+    """Reference stable-PC skeleton: one ci_one(x, y, cond) -> p call per
+    set, x's neighbours first, then all of y's, stopping at p > alpha."""
+    n = len(scheme)
+    max_cond_size = n - 2 if max_cond_size is None else max_cond_size
+    adj = {v: set(range(n)) - {v} for v in range(n)}
+    sepsets = {}
+    for level in range(max_cond_size + 1):
+        snapshot = {v: frozenset(adj[v]) for v in adj}
+        if all(len(snapshot[v]) - 1 < level for v in snapshot):
+            break
+        removals = []
+        for x, y in combinations(range(n), 2):
+            if y not in adj[x]:
+                continue
+            for cond in (
+                *combinations(sorted(snapshot[x] - {y}), level),
+                *combinations(sorted(snapshot[y] - {x}), level),
+            ):
+                if ci_one(x, y, cond) > alpha_level:
+                    removals.append((x, y, cond))
+                    break
+        for x, y, cond in removals:
+            adj[x].discard(y)
+            adj[y].discard(x)
+            sepsets[frozenset((x, y))] = frozenset(cond)
+    pairs = {frozenset((x, y)) for x in adj for y in adj[x]}
+    return pairs, sepsets
+
+
+def counting(ci):
+    """`ci` that also records every (x, y, cond) whose p-value it computed."""
+    computed = []
+
+    def wrapped(x, y, conds):
+        done = 0
+        for batch in ci(x, y, conds):
+            computed.extend((x, y, cond) for cond in conds[done:done + len(batch)])
+            done += len(batch)
+            yield batch
+
+    wrapped.scheme = ci.scheme
+    return wrapped, computed
 
 
 CHAIN = ("X0", "X1"), ("X1", "X2")
@@ -282,6 +360,38 @@ class TestVectorisedCiTest:
             stat, p, dof = ci_test_g2(data, x, y, cond)
             assert p == chi2.sf(stat, dof)
 
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("test", ["g2", "chi2"])
+    def test_batched_equals_one_set_at_a_time(self, seed, test, monkeypatch):
+        data, rng = random_cohort(seed)
+        # Three sets per batch, so a level's list spans several batches.
+        monkeypatch.setattr(pc, "_BATCH_CODES", 3 * data.n)
+        cards = data.scheme.cardinalities()
+        x, y = (int(v) for v in rng.choice(len(cards), size=2, replace=False))
+        others = [v for v in range(len(cards)) if v not in (x, y)]
+        for level in range(len(others) + 1):  # levels 0-4
+            conds = list(combinations(others, level))
+            batches = list(pc._ci_batches(data.rows.T, cards, x, y, conds, test))
+            assert [len(p) for _, p, _ in batches] == [
+                min(3, len(conds) - i) for i in range(0, len(conds), 3)
+            ]
+            for cond, stat, p, dof in zip(
+                conds, *(np.concatenate(part) for part in zip(*batches))
+            ):
+                single = ci_test_g2(data, x, y, cond, test=test)
+                assert (stat, p, dof) == single
+                assert single == one_table_ci_test(data, x, y, cond, test)
+
+    def test_batches_split_at_the_code_cap(self):
+        # 20,000 rows make three sets per batch at the module's own cap.
+        data = sample_from_network(reference_network(7), 20_000, 4)
+        assert pc._BATCH_CODES // data.n == 3
+        conds = list(combinations(range(2, 8), 2))
+        batches = list(make_ci_from_data(data)(0, 1, conds))
+        assert [len(b) for b in batches] == [3] * 5
+        assert sum(batches, []) == [ci_test_g2(data, 0, 1, c)[1] for c in conds]
+        assert sum(batches, []) == [one_table_ci_test(data, 0, 1, c)[1] for c in conds]
+
     def test_importing_pc_does_not_import_scipy_stats(self):
         src = str(Path(causalkit.__file__).resolve().parents[1])
         code = "import sys, causalkit.pc; print('scipy.stats' in sys.modules)"
@@ -328,6 +438,64 @@ class TestSkeleton:
             frozenset((0, 2)),
             frozenset((1, 2)),
         }
+
+
+class TestBatchedSkeleton:
+    def _both(self, ci, ci_one, depth=None):
+        skeleton, sepsets = learn_skeleton(ci, 0.05, depth)
+        pairs, ref_sepsets = loop_skeleton(ci_one, ci.scheme, 0.05, depth)
+        assert skeleton.skeleton_pairs() == pairs
+        assert sepsets.sets == ref_sepsets
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_data_matches_one_test_at_a_time(self, seed):
+        data, _ = random_cohort(seed)
+        self._both(
+            make_ci_from_data(data), lambda x, y, c: ci_test_g2(data, x, y, c)[1]
+        )
+
+    @pytest.mark.parametrize("n, seed, depth", [(326, 1, None), (1000, 12, 2)])
+    def test_reference_cohorts_match_one_test_at_a_time(self, n, seed, depth):
+        data = sample_from_network(reference_network(7), n, seed)
+        self._both(
+            make_ci_from_data(data),
+            lambda x, y, c: ci_test_g2(data, x, y, c)[1],
+            depth,
+        )
+
+    def test_oracle_matches_one_test_at_a_time(self):
+        for seed in range(30):
+            dag = random_dag(binary_scheme(6), np.random.default_rng(seed))
+            self._both(
+                make_ci_from_dag(dag),
+                lambda x, y, c: 1.0 if d_separated(dag, x, y, c) else 0.0,
+            )
+
+    @pytest.mark.parametrize("seed", range(0, 30, 3))
+    def test_no_set_is_tested_twice_and_each_level_is_logged(self, seed, caplog):
+        data, _ = random_cohort(seed)
+        dag = random_dag(binary_scheme(6), np.random.default_rng(seed))
+        for ci in (make_ci_from_data(data), make_ci_from_dag(dag)):
+            ci, computed = counting(ci)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="causalkit.pc"):
+                learn_skeleton(ci)
+            assert len(computed) == len(set(computed))
+            levels = [r.args for r in caplog.records]
+            assert [level for level, _, _ in levels] == list(range(len(levels)))
+            assert sum(count for _, count, _ in levels) == len(computed)
+
+    def test_level_counts_on_the_oracle_chain(self, caplog):
+        dag = Dag.from_names(binary_scheme(3), CHAIN)
+        learn_skeleton(make_ci_from_dag(dag))
+        assert caplog.records == []  # DEBUG is off by default
+        with caplog.at_level(logging.DEBUG, logger="causalkit.pc"):
+            learn_skeleton(make_ci_from_dag(dag))
+        # Level 1 lists (X2) once for (X0, X1), not once from each side.
+        assert [r.getMessage() for r in caplog.records] == [
+            "PC level 0: 3 CI p-values computed, 0 edges removed",
+            "PC level 1: 3 CI p-values computed, 1 edges removed",
+        ]
 
 
 class TestOrientation:
@@ -441,6 +609,43 @@ class TestMeekRules:
         pdag = Pdag.from_names(scheme, directed=[("X0", "X1")])
         out = meek_closure(pdag)
         assert pdag.directed <= out.directed
+
+
+class TestAcyclicGuard:
+    # X2 -> X0 - X1 with X2, X1 nonadjacent: R1 orients X0 -> X1, which
+    # closes X0 -> X1 -> X3 -> X4 -> X0.
+    PDAG = dict(
+        directed=[("X2", "X0"), ("X1", "X3"), ("X3", "X4"), ("X4", "X0")],
+        undirected=[("X0", "X1")],
+    )
+
+    def test_meek_closure_follows_r1_literally(self):
+        pdag = Pdag.from_names(binary_scheme(5), **self.PDAG)
+        out = meek_closure(pdag)
+        assert out.directed == pdag.directed | {(0, 1)}
+        with pytest.raises(CycleError):
+            Dag(pdag.scheme, out.directed)
+
+    def test_guard_keeps_the_edge_undirected_and_warns_once(self, caplog):
+        pdag = Pdag.from_names(binary_scheme(5), **self.PDAG)
+        with caplog.at_level(logging.WARNING, logger="causalkit.pc"):
+            out = meek_closure(pdag, acyclic=True)
+        assert (out.directed, out.undirected) == (pdag.directed, pdag.undirected)
+        assert [r.args for r in caplog.records] == [(0, 1)]
+
+    def test_pc_run_is_acyclic_where_meek_closes_a_cycle(self, caplog):
+        data = sample_from_network(reference_network(7), 5000, 11)
+        skeleton, sepsets = learn_skeleton(make_ci_from_data(data), 0.05, 2)
+        literal = meek_closure(orient_v_structures(skeleton, sepsets))
+        with pytest.raises(CycleError):
+            Dag(data.scheme, literal.directed)
+        with caplog.at_level(logging.WARNING, logger="causalkit.pc"):
+            out = pc_run(data, 0.05, 2)
+        Dag(data.scheme, out.directed)
+        stage, alk = data.scheme.index("STAGEGROUP"), data.scheme.index("ALK")
+        assert literal.directed - out.directed == {(stage, alk)}
+        assert out.undirected - literal.undirected == {frozenset((stage, alk))}
+        assert [r.args for r in caplog.records if "cycle" in r.msg] == [(stage, alk)]
 
 
 class TestPipeline:
