@@ -299,12 +299,12 @@ def brute_force_query(
 
 def _resolve_query(scheme: VariableScheme, query, evidence):
     """(query indices, {evidence index: state}), checked before any plan."""
-    query_idx = tuple(_variable(scheme, q) for q in query)
+    query_idx = tuple(map(scheme.resolve, query))
     if len(set(query_idx)) < len(query_idx):
         raise ValueError(f"query {list(query)!r} repeats a variable")
     ev = {}
     for key, value in (evidence or {}).items():
-        var = _variable(scheme, key)
+        var = scheme.resolve(key)
         if var in ev:
             raise ValueError(f"evidence names {scheme.names[var]} twice")
         if isinstance(value, str):
@@ -322,13 +322,3 @@ def _resolve_query(scheme: VariableScheme, query, evidence):
         raise ValueError("query and evidence overlap")
     return query_idx, ev
 
-
-def _variable(scheme: VariableScheme, key) -> int:
-    """A name's index, or an index in [0, n): -1 is not the last variable."""
-    if isinstance(key, str):
-        return scheme.index(key)
-    if isinstance(key, bool):
-        raise TypeError(f"variable {key!r} is a bool, not an index")
-    if not 0 <= (var := operator.index(key)) < len(scheme):
-        raise UnknownVariable(f"variable index {key!r} not in [0, {len(scheme)})")
-    return var

@@ -56,6 +56,14 @@ def _load_graph(path, scheme):
     return _read(path, lambda text: parse_graph_json(text, scheme))
 
 
+def _load_dag(path, scheme, use) -> Dag:
+    """The graph file at path, which `use` needs fully directed."""
+    graph = _load_graph(path, scheme)
+    if isinstance(graph, Pdag):
+        raise ToolkitError(f"{path}: {use} needs a fully directed graph")
+    return graph
+
+
 def _load_network(path):
     from .bayesnet import BayesianNetwork
 
@@ -317,9 +325,7 @@ def _score_table(args, scheme, paths) -> str:
     data = _load_dataset(args.data, scheme)
     reports = {}
     for path in paths:
-        graph = _load_graph(path, scheme)
-        if isinstance(graph, Pdag):
-            raise ToolkitError(f"{path}: scoring needs a fully directed graph")
+        graph = _load_dag(path, scheme, "scoring")
         reports[Path(path).stem] = [
             bdeu_total(graph, data, ess, args.variant) for ess in args.ess
         ]
@@ -337,16 +343,19 @@ def _cmd_compare(args, scheme):
     print(_score_table(args, scheme, args.graphs), end="")
 
 
-def _cmd_fit(args, scheme):
+def _fit(args, scheme):
+    """The network fitted to --data on the --graph structure at --ess."""
     from .bayesnet import fit_cpds
 
     data = _load_dataset(args.data, scheme)
-    net = fit_cpds(_load_graph(args.graph, scheme), data, args.ess)
-    _write(args.out, net.to_json())
+    return fit_cpds(_load_dag(args.graph, scheme, "fitting"), data, args.ess)
+
+
+def _cmd_fit(args, scheme):
+    _write(args.out, _fit(args, scheme).to_json())
 
 
 def _cmd_ate(args, scheme):
-    from .bayesnet import fit_cpds
     from .intervention import ate_grid
 
     if args.network:
@@ -354,8 +363,7 @@ def _cmd_ate(args, scheme):
     elif not (args.graph and args.data):
         raise ToolkitError("ate needs --network or --graph plus --data")
     else:
-        data = _load_dataset(args.data, scheme)
-        net = fit_cpds(_load_graph(args.graph, scheme), data, args.ess)
+        net = _fit(args, scheme)
     grid = ate_grid(net)
     print(grid.to_text(), end="")
     if args.out:

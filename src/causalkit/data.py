@@ -65,10 +65,7 @@ class CategoricalDataset:
         return self.rows.shape[0]
 
     def column(self, variable) -> np.ndarray:
-        idx = (
-            self.scheme.index(variable) if isinstance(variable, str) else variable
-        )
-        return self.rows[:, idx]
+        return self.rows[:, self.scheme.resolve(variable)]
 
 
 @dataclass(frozen=True)
@@ -206,6 +203,17 @@ def write_csv(data: CategoricalDataset) -> str:
     ]
     writer.writerows(zip(*labels))
     return out.getvalue()
+
+
+def text_table(rows) -> str:
+    """Rows of cells as left-aligned columns two spaces apart, each line
+    stripped of trailing spaces."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = (
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in rows
+    )
+    return "\n".join(lines) + "\n"
 
 
 def contingency_counts(

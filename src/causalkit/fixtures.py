@@ -9,8 +9,6 @@ through V5.
 
 from __future__ import annotations
 
-import json
-
 from . import nsclc
 from .llm import (
     ElicitationTranscript,
@@ -21,6 +19,7 @@ from .llm import (
     render_pairwise_prompt,
     render_refine_prompt,
     render_single_prompt,
+    transcript_line,
 )
 
 # (cause, effect, completion, expected verdict) for the five recorded
@@ -132,8 +131,8 @@ def edges_to_reply(edges) -> str:
     return " ".join(sentences)
 
 
-def pairwise_replay_backend(context: str = "NSCLC") -> ReplayBackend:
-    """All 153 symmetric-mode prompts: the five recorded completions for
+def pairwise_replay_backend() -> ReplayBackend:
+    """All 153 pairwise prompts: the five recorded completions for
     their pairs (in the recorded ask direction), a neutral completion for
     the rest."""
     recorded = {
@@ -141,11 +140,11 @@ def pairwise_replay_backend(context: str = "NSCLC") -> ReplayBackend:
         for cause, effect, completion, _ in PAIRWISE_FIXTURES
     }
     exchanges = {}
-    for cause, effect, prompt in pairwise_prompts(nsclc.SCHEME, context):
+    for cause, effect, prompt in pairwise_prompts(nsclc.SCHEME):
         key = frozenset((cause, effect))
         if key in recorded:
             asked_cause, asked_effect, completion = recorded[key]
-            prompt = render_pairwise_prompt(asked_cause, asked_effect, context)
+            prompt = render_pairwise_prompt(asked_cause, asked_effect)
             exchanges[prompt] = completion
         else:
             exchanges[prompt] = _UNCERTAIN_COMPLETION
@@ -155,11 +154,7 @@ def pairwise_replay_backend(context: str = "NSCLC") -> ReplayBackend:
 def refinement_replay_backend() -> ReplayBackend:
     """Replay map covering the single prompt and all four correction turns."""
     scheme = nsclc.SCHEME
-    exchanges = {
-        render_single_prompt(
-            scheme, ("mutation doesn't cause symptoms.",)
-        ): SINGLE_PROMPT_RESPONSE
-    }
+    exchanges = {render_single_prompt(scheme): SINGLE_PROMPT_RESPONSE}
     # Correction prompts embed the previous draft's edge list, so build the
     # session forward to reproduce the exact prompt bytes.
     backend = ReplayBackend(exchanges)
@@ -186,7 +181,4 @@ def run_refinement_session(backend=None) -> ElicitationTranscript:
 def write_replay_file(path, backend_exchanges: dict[str, str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for prompt, completion in backend_exchanges.items():
-            fh.write(
-                json.dumps({"prompt": prompt, "completion": completion, "time": 0.0})
-                + "\n"
-            )
+            fh.write(transcript_line(prompt, completion, 0.0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +51,21 @@ class VariableScheme:
         except KeyError:
             raise UnknownVariable(f"unknown variable {name!r}") from None
 
+    def resolve(self, key) -> int:
+        """A name's index, or an index in [0, n): -1 is not the last
+        variable, and a bool is not an index."""
+        if type(key) is int and 0 <= key < len(self.names):
+            return key
+        if isinstance(key, str):
+            return self.index(key)
+        if isinstance(key, bool):
+            raise TypeError(f"variable {key!r} is a bool, not an index")
+        if not 0 <= (var := operator.index(key)) < len(self.names):
+            raise UnknownVariable(f"variable index {key!r} not in [0, {len(self)})")
+        return var
+
     def states(self, name_or_index) -> tuple[str, ...]:
-        if isinstance(name_or_index, str):
-            name_or_index = self.index(name_or_index)
-        return self.variables[name_or_index][1]
+        return self.variables[self.resolve(name_or_index)][1]
 
     def cardinality(self, name_or_index) -> int:
         return len(self.states(name_or_index))
@@ -140,16 +152,13 @@ class Dag:
         return a
 
     def parents(self, variable) -> tuple[int, ...]:
-        return self._parents[self._resolve(variable)]
+        return self._parents[self.scheme.resolve(variable)]
 
     def children(self, variable) -> tuple[int, ...]:
-        return self._children[self._resolve(variable)]
-
-    def _resolve(self, variable) -> int:
-        return self.scheme.index(variable) if isinstance(variable, str) else variable
+        return self._children[self.scheme.resolve(variable)]
 
     def add(self, parent, child) -> "Dag":
-        u, v = self._resolve(parent), self._resolve(child)
+        u, v = self.scheme.resolve(parent), self.scheme.resolve(child)
         if u == v:
             raise CycleError(f"self-loop on {self.scheme.names[u]}")
         try:
@@ -161,7 +170,7 @@ class Dag:
             ) from None
 
     def remove(self, parent, child) -> "Dag":
-        u, v = self._resolve(parent), self._resolve(child)
+        u, v = self.scheme.resolve(parent), self.scheme.resolve(child)
         return Dag(self.scheme, self.edges - {(u, v)})
 
     def topological_order(self) -> list[int]:
@@ -180,6 +189,9 @@ class Pdag:
     def __post_init__(self):
         und = frozenset(frozenset(e) for e in self.undirected)
         object.__setattr__(self, "undirected", und)
+        for e in und:
+            if len(e) != 2:
+                raise ValueError(f"undirected edge {sorted(e)} is not two variables")
         for u, v in self.directed:
             if u == v:
                 raise CycleError(f"self-loop on {self.scheme.names[u]}")

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bayesnet import BayesianNetwork, Cpd, variable_elimination
+from .data import text_table
 from .errors import UnknownState, UnknownVariable
 from .graph import Dag
 
@@ -92,26 +94,20 @@ class AteGrid:
     mutations: tuple[str, ...]
     cells: np.ndarray  # rows = treatments, columns = mutations
 
+    @functools.cached_property
+    def rows(self) -> list[list[str]]:
+        """The header and one formatted row per treatment, for both outputs."""
+        return [["Treatment Category", *self.mutations]] + [
+            [t] + [f"{v:.6f}" for v in row]
+            for t, row in zip(self.treatments, self.cells)
+        ]
+
     def to_text(self) -> str:
-        header = ["Treatment Category"] + list(self.mutations)
-        rows = [header]
-        for t, row in zip(self.treatments, self.cells):
-            rows.append([t] + [f"{v:.6f}" for v in row])
-        widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-        return (
-            "\n".join(
-                "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                for row in rows
-            )
-            + "\n"
-        )
+        return text_table(self.rows)
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["Treatment Category"] + list(self.mutations))
-        for t, row in zip(self.treatments, self.cells):
-            writer.writerow([t] + [f"{v:.6f}" for v in row])
+        csv.writer(out, lineterminator="\n").writerows(self.rows)
         return out.getvalue()
 
 

@@ -51,7 +51,7 @@ class ReplayBackend:
                     ) from None
         return cls(exchanges)
 
-    def send(self, prompt: str, temperature: float = 0.0) -> str:
+    def send(self, prompt: str) -> str:
         try:
             return self._exchanges[prompt]
         except KeyError:
@@ -76,13 +76,13 @@ class HttpBackend:
         self.transcript_path = transcript_path
         self.api_key = os.environ.get("LLM_API_KEY", "")
 
-    def send(self, prompt: str, temperature: float = 0.0) -> str:
+    def send(self, prompt: str) -> str:
         import requests
 
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": temperature,
+            "temperature": 0.0,
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         delay = 1.0
@@ -111,17 +111,13 @@ class HttpBackend:
             raise BackendError("malformed completion body (content is not text)")
         if self.transcript_path:
             with open(self.transcript_path, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "prompt": prompt,
-                            "completion": completion,
-                            "time": time.time(),
-                        }
-                    )
-                    + "\n"
-                )
+                fh.write(transcript_line(prompt, completion, time.time()))
         return completion
+
+
+def transcript_line(prompt: str, completion: str, t: float) -> str:
+    """One exchange at time t as a JSON line, the form parse_jsonl reads."""
+    return json.dumps({"prompt": prompt, "completion": completion, "time": t}) + "\n"
 
 
 @dataclass(frozen=True)
@@ -139,10 +135,9 @@ class ElicitationTranscript:
     drafts: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = ()
     diffs: tuple[dict, ...] = ()
 
-    def with_exchange(self, prompt, completion, timestamp=None):
-        stamp = time.time() if timestamp is None else timestamp
+    def with_exchange(self, prompt, completion):
         return replace(
-            self, exchanges=self.exchanges + ((prompt, completion, stamp),)
+            self, exchanges=self.exchanges + ((prompt, completion, time.time()),)
         )
 
     def with_draft(self, edges, diff=None):
@@ -159,26 +154,22 @@ class ElicitationTranscript:
         return self.drafts[-1] if self.drafts else None
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps({"prompt": p, "completion": c, "time": t})
-            for p, c, t in self.exchanges
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(itertools.starmap(transcript_line, self.exchanges))
 
 
-def render_pairwise_prompt(cause: str, effect: str, context: str = "NSCLC") -> str:
+def render_pairwise_prompt(cause: str, effect: str) -> str:
     if cause == effect:
         raise ValueError("cause and effect must differ")
     cause_name = DISPLAY_NAMES.get(cause, cause)
     effect_name = DISPLAY_NAMES.get(effect, effect)
-    return f"Does {cause_name} effect {effect_name} in {context}"
+    return f"Does {cause_name} effect {effect_name} in NSCLC"
 
 
-def pairwise_prompts(scheme: VariableScheme, context: str = "NSCLC"):
+def pairwise_prompts(scheme: VariableScheme):
     """(cause, effect, prompt) triples asking each unordered pair once, in
     scheme order (n(n-1)/2 prompts)."""
     return [
-        (cause, effect, render_pairwise_prompt(cause, effect, context))
+        (cause, effect, render_pairwise_prompt(cause, effect))
         for cause, effect in itertools.combinations(scheme.names, 2)
     ]
 
@@ -200,29 +191,21 @@ def parse_verdict(completion: str, cause: str, effect: str) -> EdgeVerdict:
     lowered = completion.lower()
     if lowered.startswith("yes,") or lowered.startswith("yes "):
         return EdgeVerdict(cause, effect, "yes", completion, completion[:4])
-    for pattern in _NEGATION_PATTERNS:
-        pos = lowered.find(pattern)
-        if pos >= 0:
-            return EdgeVerdict(
-                cause, effect, "no", completion, completion[pos : pos + len(pattern)]
-            )
-    for pattern in _AFFIRMATION_PATTERNS:
-        pos = lowered.find(pattern)
-        if pos >= 0:
-            return EdgeVerdict(
-                cause, effect, "yes", completion, completion[pos : pos + len(pattern)]
-            )
+    for verdict, patterns in ("no", _NEGATION_PATTERNS), ("yes", _AFFIRMATION_PATTERNS):
+        for pattern in patterns:
+            pos = lowered.find(pattern)
+            if pos >= 0:
+                matched = completion[pos : pos + len(pattern)]
+                return EdgeVerdict(cause, effect, verdict, completion, matched)
     return EdgeVerdict(cause, effect, "uncertain", completion, None)
 
 
-def render_single_prompt(scheme: VariableScheme, constraints=()) -> str:
-    text = (
+def render_single_prompt(scheme: VariableScheme) -> str:
+    return (
         "Generate me a cause effect adjacency matrix for these nodes "
         + ", ".join(scheme.names)
+        + " mutation doesn't cause symptoms."
     )
-    for clause in constraints:
-        text += " " + clause
-    return text
 
 
 def render_refine_prompt(correction: str, edges, scheme: VariableScheme) -> str:
@@ -359,32 +342,26 @@ def refine(
         raise ValueError("refine needs a session with at least one draft")
     _, current_edges = session.latest_draft
     prompt = render_refine_prompt(correction, current_edges, scheme)
-    completion = backend.send(prompt, temperature=0.0)
+    completion = backend.send(prompt)
     matrix, _ = parse_adjacency_response(completion, scheme)
     new_edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(matrix))}
     diff = _edge_diff(current_edges, new_edges)
     return session.with_exchange(prompt, completion).with_draft(new_edges, diff)
 
 
-def elicit_graph(
-    strategy: str,
-    scheme: VariableScheme,
-    backend,
-    context: str = "NSCLC",
-    constraints=("mutation doesn't cause symptoms.",),
-):
+def elicit_graph(strategy: str, scheme: VariableScheme, backend):
     """Run one elicitation session; returns (Dag, ElicitationTranscript)."""
     transcript = ElicitationTranscript()
     if strategy == "pairwise":
         dag = Dag(scheme)
-        for cause, effect, prompt in pairwise_prompts(scheme, context):
+        for cause, effect, prompt in pairwise_prompts(scheme):
             try:
-                completion = backend.send(prompt, temperature=0.0)
+                completion = backend.send(prompt)
             except ReplayMiss:
                 # The recorded session may have asked this pair reversed.
                 cause, effect = effect, cause
-                prompt = render_pairwise_prompt(cause, effect, context)
-                completion = backend.send(prompt, temperature=0.0)
+                prompt = render_pairwise_prompt(cause, effect)
+                completion = backend.send(prompt)
             transcript = transcript.with_exchange(prompt, completion)
             verdict = parse_verdict(completion, cause, effect)
             if verdict.verdict == "yes":
@@ -395,8 +372,8 @@ def elicit_graph(
         transcript = transcript.with_draft(dag.edges)
         return dag, transcript
     if strategy == "single":
-        prompt = render_single_prompt(scheme, constraints)
-        completion = backend.send(prompt, temperature=0.0)
+        prompt = render_single_prompt(scheme)
+        completion = backend.send(prompt)
         transcript = transcript.with_exchange(prompt, completion)
         matrix, _ = parse_adjacency_response(completion, scheme)
         edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(matrix))}

@@ -19,7 +19,7 @@ import scipy.optimize as sopt
 
 from .data import CategoricalDataset
 from .errors import ShapeError
-from .graph import Dag, VariableScheme, is_acyclic
+from .graph import Dag, VariableScheme
 
 log = logging.getLogger(__name__)
 
@@ -177,11 +177,10 @@ def notears_fit(
     thresholded = np.where(np.abs(w) >= config.w_threshold, w, 0.0)
     np.fill_diagonal(thresholded, 0.0)
     repaired = []
-    while not is_acyclic((thresholded != 0).astype(int)):
-        # Drop the weakest surviving edge on some cycle until acyclic.
-        u, v = _weakest_cycle_edge(thresholded)
-        repaired.append((u, v))
-        thresholded[u, v] = 0.0
+    # Drop the weakest surviving edge on some cycle until acyclic.
+    while (edge := _weakest_cycle_edge(thresholded)) is not None:
+        repaired.append(edge)
+        thresholded[edge] = 0.0
     if repaired:
         log.warning("removed %d cycle edges after thresholding", len(repaired))
     edges = frozenset(
@@ -197,7 +196,7 @@ def notears_fit(
 
 
 def _weakest_cycle_edge(w: np.ndarray):
-    """Smallest-|weight| edge among those participating in a cycle."""
+    """Smallest-|weight| edge among those on a cycle, or None if acyclic."""
     support = w != 0
     d = w.shape[0]
     reach = support | np.eye(d, dtype=bool)
@@ -208,5 +207,7 @@ def _weakest_cycle_edge(w: np.ndarray):
         for u, v in zip(*np.nonzero(support))
         if reach[v, u]
     ]
+    if not candidates:
+        return None
     _, u, v = min(candidates)
     return int(u), int(v)

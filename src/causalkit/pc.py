@@ -256,21 +256,28 @@ def learn_skeleton(
     return Pdag(scheme, frozenset(), undirected), sepsets
 
 
+def _neighbours(pdag: Pdag) -> dict[int, set[int]]:
+    """Each variable's adjacent variables, whatever the edges' marks."""
+    adj: dict[int, set[int]] = {v: set() for v in range(len(pdag.scheme))}
+    for a, b in map(tuple, pdag.skeleton_pairs()):
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def orient_v_structures(skeleton: Pdag, sepsets: SepsetMap) -> Pdag:
     """Orient x -> z <- y for nonadjacent x, y whose sepset excludes z.
 
-    Conflicting demands on one edge leave it undirected (logged).
+    Conflicting demands on one edge leave it undirected (logged), and so
+    does an orientation that would close a directed cycle with those made
+    before it (logged): colliders from sampled data need not be consistent.
     """
     proposals: set[tuple[int, int]] = set()
     pairs = skeleton.skeleton_pairs()
-    adj: dict[int, set[int]] = {}
-    for pair in pairs:
-        a, b = tuple(pair)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    for z in sorted(adj):
+    adj = _neighbours(skeleton)
+    for z in adj:
         for x, y in combinations(sorted(adj[z]), 2):
-            if y in adj.get(x, ()):
+            if y in adj[x]:
                 continue
             sep = sepsets.get(x, y)
             if sep is not None and z not in sep:
@@ -286,8 +293,15 @@ def orient_v_structures(skeleton: Pdag, sepsets: SepsetMap) -> Pdag:
                     u,
                     v,
                 )
-            continue
-        directed.add((u, v))
+        elif _reaches(v, u, directed, adj):
+            log.warning(
+                "collider orientation (%d, %d) would close a directed cycle; "
+                "kept undirected",
+                u,
+                v,
+            )
+        else:
+            directed.add((u, v))
     undirected = frozenset(pairs - {frozenset(e) for e in directed})
     return Pdag(skeleton.scheme, frozenset(directed), undirected)
 
@@ -341,50 +355,40 @@ def _reaches(src, dst, directed, adj) -> bool:
     return False
 
 
-def _apply_meek_rules(directed: set, undirected: set, adj, refused=None) -> bool:
-    """Orient the first undirected edge, in sorted pair order and trying
-    both directions, that R1-R4 imply; returns True if one was oriented.
-
-    Given a `refused` set, an implied a -> b whose b already reaches a by
-    directed edges is refused instead (and True returned): the pair joins
-    `refused`, stays undirected and is skipped from then on.
-    """
-    for pair in sorted(tuple(sorted(p)) for p in undirected - (refused or set())):
-        for a, b in (pair, pair[::-1]):
-            if _meek_implies(a, b, directed, undirected, adj):
-                if refused is not None and _reaches(b, a, directed, adj):
-                    log.warning(
-                        "orienting (%d, %d) would close a directed cycle; "
-                        "kept undirected",
-                        a,
-                        b,
-                    )
-                    refused.add(frozenset(pair))
-                else:
-                    undirected.discard(frozenset(pair))
-                    directed.add((a, b))
-                return True
-    return False
-
-
 def meek_closure(pdag: Pdag, acyclic: bool = False) -> Pdag:
     """Apply R1-R4 to fixpoint.  Never un-orients an edge.
 
-    Meek's rules are sound only for a consistent pattern; on colliders
-    from sampled data they can close a directed cycle.  With
-    `acyclic=True` (as pc_run uses it) such an orientation is refused, the
-    edge stays undirected and a warning is logged.
+    Each step orients the first undirected edge, in sorted pair order and
+    trying both directions, that R1-R4 imply.  Meek's rules are sound only
+    for a consistent pattern; on colliders from sampled data they can close
+    a directed cycle.  With `acyclic=True` (as pc_run uses it) an implied
+    a -> b whose b already reaches a is refused instead: the edge stays
+    undirected, is skipped from then on, and a warning is logged.
     """
     directed = set(pdag.directed)
     undirected = set(pdag.undirected)
-    adj: dict[int, set[int]] = {v: set() for v in range(len(pdag.scheme))}
-    for pair in pdag.skeleton_pairs():
-        a, b = tuple(pair)
-        adj[a].add(b)
-        adj[b].add(a)
-    refused = set() if acyclic else None
-    while _apply_meek_rules(directed, undirected, adj, refused):
-        pass
+    adj = _neighbours(pdag)
+    refused: set[frozenset[int]] = set()
+    while step := next(
+        (
+            (a, b)
+            for pair in sorted(tuple(sorted(p)) for p in undirected - refused)
+            for a, b in (pair, pair[::-1])
+            if _meek_implies(a, b, directed, undirected, adj)
+        ),
+        None,
+    ):
+        a, b = step
+        if acyclic and _reaches(b, a, directed, adj):
+            log.warning(
+                "orienting (%d, %d) would close a directed cycle; kept undirected",
+                a,
+                b,
+            )
+            refused.add(frozenset(step))
+        else:
+            undirected.discard(frozenset(step))
+            directed.add(step)
     return Pdag(pdag.scheme, frozenset(directed), frozenset(undirected))
 
 
@@ -394,8 +398,8 @@ def pc_run(
     max_cond_size: int | None = None,
     test: str = "g2",
 ) -> Pdag:
-    """Full pipeline: skeleton -> collider orientation -> Meek closure, the
-    closure refusing any orientation that would close a directed cycle."""
+    """Full pipeline: skeleton -> collider orientation -> Meek closure, both
+    steps refusing any orientation that would close a directed cycle."""
     if isinstance(ci_or_data, CategoricalDataset):
         ci = make_ci_from_data(ci_or_data, test=test)
     else:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CategoricalDataset, CountTable, contingency_counts
+from .data import CategoricalDataset, CountTable, contingency_counts, text_table
 from .graph import Dag
 
 VARIANTS = ("paper", "canonical")
@@ -87,17 +87,11 @@ def score_table(reports_by_graph: dict[str, list[ScoreReport]]) -> str:
     """Aligned text table: one row per ESS value, one column per graph."""
     names = list(reports_by_graph)
     ess_values = sorted({r.ess for rs in reports_by_graph.values() for r in rs})
-    header = ["Equivalent sample Size"] + names
-    rows = [header]
+    rows = [["Equivalent sample Size"] + names]
     for ess in ess_values:
         row = [f"{ess:g}"]
         for name in names:
             match = [r for r in reports_by_graph[name] if r.ess == ess]
             row.append(f"{match[0].total:.2f}" if match else "-")
         rows.append(row)
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    ]
-    return "\n".join(lines) + "\n"
+    return text_table(rows)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bayesnet import BayesianNetwork, Cpd
 from .data import CategoricalDataset
-from .errors import MarginalMismatch, UnparameterizedNetwork
+from .errors import MarginalMismatch
 from .graph import Dag, VariableScheme
 from . import nsclc
 
@@ -46,9 +46,6 @@ def sample_from_network(
 ) -> CategoricalDataset:
     """Draw n rows by ancestral sampling in topological order."""
     scheme = net.scheme
-    for name in scheme.names:
-        if name not in net.cpds:
-            raise UnparameterizedNetwork(f"missing CPD for {name}")
     rng = _rng(seed)
     rows = np.zeros((n, len(scheme)), dtype=np.int64)
     for idx in net.dag.topological_order():

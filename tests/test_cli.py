@@ -271,7 +271,16 @@ class TestExitCodes:
         assert not out.exists() and not (workdir / "nodir").exists()
 
     @pytest.mark.parametrize(
-        "case", ["third-graph", "graph-variables-reversed", "config-unknown-key", "pdag"]
+        "case",
+        [
+            "third-graph",
+            "graph-variables-reversed",
+            "config-unknown-key",
+            "pdag",
+            "pdag-fit",
+            "pdag-ate",
+            "undirected-self-loop",
+        ],
     )
     def test_data_error_names_its_file(self, workdir, capsys, case):
         graph = json.loads((workdir / "v1.json").read_text())
@@ -296,6 +305,21 @@ class TestExitCodes:
                 json.loads(serialize_graph(pdag, "json")),
                 compare,
                 "scoring needs a fully directed graph",
+            ),
+            "pdag-fit": (
+                json.loads(serialize_graph(pdag, "json")),
+                ["fit", "--graph", str(bad), "--data", data, "--out", str(out)],
+                "fitting needs a fully directed graph",
+            ),
+            "pdag-ate": (
+                json.loads(serialize_graph(pdag, "json")),
+                ["ate", "--graph", str(bad), "--data", data, "--out", str(out)],
+                "fitting needs a fully directed graph",
+            ),
+            "undirected-self-loop": (
+                {**graph, "undirected": [[0, 0]]},
+                ["export-dot", "--graph", str(bad), "--out", str(out)],
+                "undirected edge [0] is not two variables",
             ),
         }[case]
         bad.write_text(json.dumps(content))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalkit.data import CategoricalDataset
 from causalkit.errors import CycleError, SchemaMismatch, ShapeError, UnknownVariable
 from causalkit.graph import (
     Dag,
@@ -51,6 +52,32 @@ class TestScheme:
         assert s.cardinality("X0") == 2
         with pytest.raises(UnknownVariable):
             s.index("nope")
+
+    @pytest.mark.parametrize(
+        "key, error",
+        [
+            (-1, UnknownVariable),
+            (3, UnknownVariable),
+            (True, TypeError),
+            (1.0, TypeError),
+        ],
+    )
+    def test_every_lookup_takes_a_name_or_an_index_in_range(self, key, error):
+        # -1 is not the last variable and True is not variable 1, in every
+        # lookup as in variable elimination.
+        s = binary_scheme(3)
+        dag = Dag.from_names(s, [("X0", "X1"), ("X1", "X2")])
+        data = CategoricalDataset(s, np.array([[0, 1, 1], [1, 0, 1]]))
+        lookups = (dag.parents, dag.children, data.column, s.states, s.cardinality)
+        for lookup in lookups:
+            assert np.array_equal(lookup("X1"), lookup(1))
+            assert np.array_equal(lookup(np.int64(1)), lookup(1))
+            with pytest.raises(error):
+                lookup(key)
+        with pytest.raises(error):
+            dag.add(key, "X0")
+        with pytest.raises(error):
+            dag.remove("X0", key)
 
 
 class TestMutateEdge:
@@ -255,6 +282,15 @@ class TestPdag:
         s = binary_scheme(2)
         with pytest.raises(ValueError):
             Pdag.from_names(s, directed=[("X0", "X1")], undirected=[("X0", "X1")])
+
+    def test_undirected_self_loop_rejected(self):
+        s = binary_scheme(2)
+        with pytest.raises(ValueError, match="not two variables"):
+            Pdag(s, undirected=frozenset({frozenset({0})}))
+        text = serialize_graph(Pdag.from_names(s, undirected=[("X0", "X1")]), "json")
+        payload = {**json.loads(text), "undirected": [[0, 0]]}
+        with pytest.raises(SchemaMismatch, match=r"undirected edge \[0\]"):
+            parse_graph_json(json.dumps(payload))
 
     def test_double_orientation_rejected(self):
         s = binary_scheme(2)

@@ -47,7 +47,7 @@ class TestPrompts:
         assert len({p for _, _, p in prompts}) == 153
 
     def test_single_prompt_layout(self):
-        prompt = render_single_prompt(SCHEME, ("mutation doesn't cause symptoms.",))
+        prompt = render_single_prompt(SCHEME)
         assert prompt.startswith(
             "Generate me a cause effect adjacency matrix for these nodes "
         )
@@ -313,7 +313,9 @@ class TestHttpBackend:
         assert calls[0]["timeout"] == HttpBackend.TIMEOUT_S > 0
         assert calls[0]["headers"] == {"Authorization": "Bearer k"}
         assert calls[0]["json"]["messages"] == [{"role": "user", "content": "p"}]
+        assert calls[0]["json"]["temperature"] == 0.0
         assert json.loads(transcript.read_text())["completion"] == "yes"
+        assert ReplayBackend.parse_jsonl(transcript.read_text()).send("p") == "yes"
         assert sleeps == []
 
     def test_connection_errors_retried_then_backend_error(self, fake):

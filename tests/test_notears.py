@@ -242,6 +242,9 @@ class TestFit:
         assert not result.converged
         assert result.h_final == acyclicity_h(cycle)[0] > 0
         assert any("did not reach" in r.getMessage() for r in caplog.records)
+        # The repair drops the weakest cycle edge (ties: lowest index), once.
+        assert result.repaired_edges == ((0, 1),)
+        assert result.dag.edges == {(1, 0)}
 
 
 class TestWeightedAdjacency:

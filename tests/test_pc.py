@@ -647,6 +647,38 @@ class TestAcyclicGuard:
         assert out.undirected - literal.undirected == {frozenset((stage, alk))}
         assert [r.args for r in caplog.records if "cycle" in r.msg] == [(stage, alk)]
 
+    def test_colliders_alone_cannot_close_a_cycle(self, caplog):
+        # A triangle X0 - X1 - X2 with one extra neighbour each; every
+        # nonadjacent pair is independent given nothing, except X1, X5 given
+        # X0, X2, X3 given X1 and X0, X4 given X2.  The colliders then ask
+        # for X0 -> X1 -> X2 -> X0, which the collider step must not finish.
+        edges = ((0, 1), (1, 2), (2, 0), (3, 1), (4, 2), (5, 0))
+        adjacent = {frozenset(e) for e in edges}
+        separating = {
+            frozenset((1, 5)): (0,),
+            frozenset((2, 3)): (1,),
+            frozenset((0, 4)): (2,),
+        }
+
+        def ci(x, y, conds):
+            pair = frozenset((x, y))
+            for cond in conds:
+                separated = pair not in adjacent and cond == separating.get(pair, ())
+                yield [1.0 if separated else 0.0]
+
+        ci.scheme = binary_scheme(6)
+        skeleton, sepsets = learn_skeleton(ci)
+        assert skeleton.undirected == adjacent
+        with caplog.at_level(logging.WARNING, logger="causalkit.pc"):
+            colliders = orient_v_structures(skeleton, sepsets)
+        [record] = caplog.records
+        assert "collider orientation" in record.msg
+        refused = frozenset(record.args)
+        assert colliders.undirected == {refused}
+        assert {frozenset(e) for e in colliders.directed} == adjacent - {refused}
+        Dag(ci.scheme, colliders.directed)
+        Dag(ci.scheme, pc_run(ci).directed)
+
 
 class TestPipeline:
     def test_oracle_pipeline_equals_cpdag_on_collider(self):
