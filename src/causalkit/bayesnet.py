@@ -85,6 +85,9 @@ class BayesianNetwork:
         # Each CPD's scope (parents, then child) keys its inference plans.
         scopes = tuple(self.dag.parents(i) + (i,) for i in range(len(scheme)))
         object.__setattr__(self, "_scopes", scopes)
+        for name in self.cpds:
+            if name not in scheme.names:
+                raise SchemaMismatch(f"CPD for {name}, which the dag does not have")
         for idx, name in enumerate(scheme.names):
             if name not in self.cpds:
                 raise UnparameterizedNetwork(f"missing CPD for {name}")
@@ -127,8 +130,14 @@ class BayesianNetwork:
             ]
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise SchemaMismatch(f"not a network of dag and cpds ({exc!r})") from None
+        for name, _, table in specs:
+            if table.dtype.kind not in "iuf":
+                raise SchemaMismatch(f"CPD table for {name} is not numbers")
+        dag = parse_graph_json(dag_text)
+        if not isinstance(dag, Dag):
+            raise SchemaMismatch("the network's dag has undirected edges")
         cpds = {name: Cpd(name, parents, table) for name, parents, table in specs}
-        return cls(parse_graph_json(dag_text), cpds)
+        return cls(dag, cpds)
 
 
 def _table_text(table: np.ndarray) -> str:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import nsclc
-from .data import DiscretizationSpec, load_csv, write_csv
+from .data import load_csv, write_csv
 from .errors import ToolkitError
 from .graph import (
     Dag,
@@ -44,9 +44,7 @@ def _load_scheme(path) -> VariableScheme:
 
 
 def _load_dataset(path, scheme):
-    dataset, dropped = _read(
-        path, lambda text: load_csv(text, scheme, DiscretizationSpec.default())
-    )
+    dataset, dropped = _read(path, lambda text: load_csv(text, scheme))
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)
     return dataset

@@ -15,24 +15,7 @@ from .errors import (
     SchemaMismatch,
 )
 from .graph import VariableScheme
-
-
-@dataclass(frozen=True)
-class DiscretizationSpec:
-    """Bin edges for numeric columns, keyed by variable name.
-
-    A variable with edges (a, b) maps values v < a to state 0, a <= v < b to
-    state 1, and v >= b to state 2; in general len(edges) + 1 bins, which must
-    equal the variable's cardinality.
-    """
-
-    bins: dict[str, tuple[float, ...]] = field(default_factory=dict)
-
-    @staticmethod
-    def default() -> "DiscretizationSpec":
-        return DiscretizationSpec(
-            {"AGE": (65.0, 75.0), "SURVIVALMONTHS": (12.0, 36.0)}
-        )
+from .nsclc import NUMERIC_BINS
 
 
 @dataclass(frozen=True)
@@ -107,17 +90,13 @@ class CountTable:
         return summary
 
 
-def load_csv(
-    source,
-    scheme: VariableScheme,
-    discretization: DiscretizationSpec | None = None,
-):
+def load_csv(source, scheme: VariableScheme):
     """Parse a CSV byte/text stream into a CategoricalDataset.
 
-    Rows with missing values in any scheme column are dropped; the drop count
-    is returned alongside the dataset.
+    A numeric cell of a column in nsclc.NUMERIC_BINS is binned; every other
+    cell must be a state label.  Rows with missing values in any scheme
+    column are dropped; the drop count is returned alongside the dataset.
     """
-    discretization = discretization or DiscretizationSpec()
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
@@ -153,9 +132,7 @@ def load_csv(
             try:
                 state = memo[text]
             except KeyError:
-                state = memo[text] = _encode_cell(
-                    text.strip(), name, scheme, discretization
-                )
+                state = memo[text] = _encode_cell(text.strip(), name, scheme)
             if state is None:
                 dropped += 1
                 break
@@ -167,19 +144,18 @@ def load_csv(
     return CategoricalDataset(scheme, np.array(encoded, dtype=np.int64)), dropped
 
 
-def _encode_cell(cell, name, scheme, discretization):
+def _encode_cell(cell, name, scheme):
     """The state of a stripped cell, or None when it is missing."""
     if cell == "" or cell.upper() in ("NA", "NAN"):
         return None
-    if name in discretization.bins:
+    if name in NUMERIC_BINS:
         try:
             value = float(cell)
         except ValueError:
             # Fall through: a pre-binned label is also accepted.
             value = None
         if value is not None:
-            edges = discretization.bins[name]
-            state = int(np.searchsorted(edges, value, side="right"))
+            state = int(np.searchsorted(NUMERIC_BINS[name], value, side="right"))
             if state >= scheme.cardinality(name):
                 raise SchemaMismatch(
                     f"{name}: bin spec yields {state}, cardinality "

@@ -13,9 +13,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import CycleError, SchemaMismatch, ShapeError, UnknownVariable
+from .errors import CycleError, SchemaMismatch, UnknownVariable
 
 
 @dataclass(frozen=True)
@@ -102,18 +100,6 @@ def _smallest_first_order(children) -> list[int]:
     return order
 
 
-def is_acyclic(adjacency) -> bool:
-    """True iff the 0/1 adjacency matrix describes a cycle-free digraph.
-
-    A nonzero diagonal entry (self-loop) counts as a cycle.
-    """
-    a = np.asarray(adjacency)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"adjacency must be square, got shape {a.shape}")
-    children = [np.flatnonzero(row).tolist() for row in a]
-    return len(_smallest_first_order(children)) == len(a)
-
-
 @dataclass(frozen=True)
 class Dag:
     """Acyclic digraph over a scheme.  Immutable; use add/remove for new values."""
@@ -143,13 +129,6 @@ class Dag:
             (scheme.index(u), scheme.index(v)) for u, v in edges
         )
         return cls(scheme, pairs)
-
-    def adjacency(self) -> np.ndarray:
-        n = len(self.scheme)
-        a = np.zeros((n, n), dtype=np.int8)
-        for u, v in self.edges:
-            a[u, v] = 1
-        return a
 
     def parents(self, variable) -> tuple[int, ...]:
         return self._parents[self.scheme.resolve(variable)]

@@ -16,8 +16,6 @@ import re
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import (
     BackendError,
     CycleError,
@@ -26,7 +24,7 @@ from .errors import (
     SchemaMismatch,
     VariableAliasUnknown,
 )
-from .graph import Dag, VariableScheme, is_acyclic
+from .graph import Dag, VariableScheme
 from .nsclc import DISPLAY_NAMES, SYMPTOMS, VARIABLE_ALIASES
 
 
@@ -259,8 +257,8 @@ def parse_adjacency_response(completion: str, scheme: VariableScheme):
     Recognizes "{A} can affect the {B} and {C}", "can lead to", "can
     indicate", "which in turn influences", and "{list} do not cause {B}"
     (an edge suppression).  Sentences matching no pattern are reported, not
-    guessed.  Returns (adjacency matrix, unparsed sentence list); raises
-    CyclicDraft when the stated edges contain a cycle.
+    guessed.  Returns (Dag, unparsed sentence list); raises CyclicDraft
+    when the stated edges contain a cycle.
     """
     sentences = [s.strip() for s in re.split(r"(?<=\.)\s+|\n", completion) if s.strip()]
     added: set[tuple[int, int]] = set()
@@ -308,15 +306,13 @@ def parse_adjacency_response(completion: str, scheme: VariableScheme):
             unparsed.append(sentence)
 
     edges = added - suppressed
-    matrix = np.zeros((len(scheme), len(scheme)), dtype=np.int8)
-    for u, v in edges:
-        matrix[u, v] = 1
-    if not is_acyclic(matrix):
+    try:
+        return Dag(scheme, frozenset(edges)), unparsed
+    except CycleError:
         raise CyclicDraft(
             "parsed draft contains a directed cycle",
             edges=sorted((scheme.names[u], scheme.names[v]) for u, v in edges),
-        )
-    return matrix, unparsed
+        ) from None
 
 
 def _edge_diff(old, new) -> dict:
@@ -343,10 +339,9 @@ def refine(
     _, current_edges = session.latest_draft
     prompt = render_refine_prompt(correction, current_edges, scheme)
     completion = backend.send(prompt)
-    matrix, _ = parse_adjacency_response(completion, scheme)
-    new_edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(matrix))}
-    diff = _edge_diff(current_edges, new_edges)
-    return session.with_exchange(prompt, completion).with_draft(new_edges, diff)
+    dag, _ = parse_adjacency_response(completion, scheme)
+    diff = _edge_diff(current_edges, dag.edges)
+    return session.with_exchange(prompt, completion).with_draft(dag.edges, diff)
 
 
 def elicit_graph(strategy: str, scheme: VariableScheme, backend):
@@ -375,8 +370,6 @@ def elicit_graph(strategy: str, scheme: VariableScheme, backend):
         prompt = render_single_prompt(scheme)
         completion = backend.send(prompt)
         transcript = transcript.with_exchange(prompt, completion)
-        matrix, _ = parse_adjacency_response(completion, scheme)
-        edges = {(int(u), int(v)) for u, v in zip(*np.nonzero(matrix))}
-        transcript = transcript.with_draft(edges)
-        return Dag(scheme, frozenset(edges)), transcript
+        dag, _ = parse_adjacency_response(completion, scheme)
+        return dag, transcript.with_draft(dag.edges)
     raise ValueError(f"unknown strategy {strategy!r}")

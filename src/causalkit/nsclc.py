@@ -30,6 +30,10 @@ SCHEME = VariableScheme.of(
     + [(gene, _BINARY) for gene in GENES]
 )
 
+# Bin edges of the numeric columns load_csv accepts: edges (a, b) map v < a
+# to state 0, a <= v < b to state 1 and v >= b to state 2.
+NUMERIC_BINS = {"AGE": (65.0, 75.0), "SURVIVALMONTHS": (12.0, 36.0)}
+
 # Human-readable phrasings used when rendering prompts.
 DISPLAY_NAMES = {
     "AGE": "age",

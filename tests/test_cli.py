@@ -15,6 +15,8 @@ from causalkit.cli import dispatch
 from causalkit.graph import Dag, Pdag, parse_graph_json, serialize_graph
 from causalkit.synth import reference_network, sample_from_network
 
+from conftest import binary_scheme
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -280,6 +282,13 @@ class TestExitCodes:
             "pdag-fit",
             "pdag-ate",
             "undirected-self-loop",
+            "network-undirected-edge",
+            "network-undirected-edge-ate",
+            "network-table-of-strings",
+            "network-table-object",
+            "network-table-of-numeric-strings",
+            "network-table-of-bools",
+            "network-cpd-not-in-dag",
         ],
     )
     def test_data_error_names_its_file(self, workdir, capsys, case):
@@ -289,6 +298,17 @@ class TestExitCodes:
         v5.write_text(serialize_graph(nsclc.v5_dag(), "json"))
         compare = ["compare", "--graphs", v1, str(v5), str(bad), "--data", data]
         pdag = Pdag(nsclc.SCHEME, frozenset(), frozenset({frozenset({0, 1})}))
+        net = {
+            "dag": json.loads(serialize_graph(Dag(binary_scheme(3)), "json")),
+            "cpds": {f"X{i}": {"parents": [], "table": [[0.5, 0.5]]} for i in range(3)},
+        }
+        sample = ["sample", "--network", str(bad), "--n", "5", "--out", str(out)]
+
+        def with_cpd(name, table):
+            cpd = {"parents": [], "table": table}
+            return {**net, "cpds": {**net["cpds"], name: cpd}}
+
+        not_numbers = "CPD table for X0 is not numbers"
         content, argv, message = {
             "third-graph": ({"variables": []}, compare, None),
             "graph-variables-reversed": (
@@ -320,6 +340,31 @@ class TestExitCodes:
                 {**graph, "undirected": [[0, 0]]},
                 ["export-dot", "--graph", str(bad), "--out", str(out)],
                 "undirected edge [0] is not two variables",
+            ),
+            "network-undirected-edge": (
+                {**net, "dag": {**net["dag"], "undirected": [[0, 2]]}},
+                sample,
+                "the network's dag has undirected edges",
+            ),
+            "network-undirected-edge-ate": (
+                {**net, "dag": {**net["dag"], "undirected": [[0, 2]]}},
+                ["ate", "--network", str(bad), "--out", str(out)],
+                "the network's dag has undirected edges",
+            ),
+            "network-table-of-strings": (
+                with_cpd("X0", [["a", "b", "c"]]), sample, not_numbers
+            ),
+            "network-table-object": (with_cpd("X0", {}), sample, not_numbers),
+            "network-table-of-numeric-strings": (
+                with_cpd("X0", [["0.5", "0.5"]]), sample, not_numbers
+            ),
+            "network-table-of-bools": (
+                with_cpd("X0", [[True, False]]), sample, not_numbers
+            ),
+            "network-cpd-not-in-dag": (
+                with_cpd("ZZZ", [[1.0]]),
+                sample,
+                "CPD for ZZZ, which the dag does not have",
             ),
         }[case]
         bad.write_text(json.dumps(content))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from causalkit import nsclc
 from causalkit.data import (
     CategoricalDataset,
-    DiscretizationSpec,
     contingency_counts,
     load_csv,
     write_csv,
@@ -84,14 +83,12 @@ class TestLoadCsv:
 
     def test_numeric_discretization(self):
         scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])
-        spec = DiscretizationSpec({"AGE": (65.0, 75.0)})
-        data, _ = load_csv("AGE\n40\n65\n74.9\n75\n90\n", scheme, spec)
+        data, _ = load_csv("AGE\n40\n65\n74.9\n75\n90\n", scheme)
         assert data.column("AGE").tolist() == [0, 1, 1, 2, 2]
 
     def test_prebinned_label_accepted_for_numeric_column(self):
         scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])
-        spec = DiscretizationSpec({"AGE": (65.0, 75.0)})
-        data, _ = load_csv("AGE\n65-75\n", scheme, spec)
+        data, _ = load_csv("AGE\n65-75\n", scheme)
         assert data.column("AGE").tolist() == [1]
 
     def test_round_trip_write_then_load(self):
@@ -208,7 +205,6 @@ class TestContingency:
 
 class TestDefaults:
     def test_default_discretization_covers_cohort_bins(self):
-        spec = DiscretizationSpec.default()
-        assert spec.bins["AGE"] == (65.0, 75.0)
-        assert spec.bins["SURVIVALMONTHS"] == (12.0, 36.0)
-        assert nsclc.SCHEME.cardinality("AGE") == len(spec.bins["AGE"]) + 1
+        assert nsclc.NUMERIC_BINS["AGE"] == (65.0, 75.0)
+        assert nsclc.NUMERIC_BINS["SURVIVALMONTHS"] == (12.0, 36.0)
+        assert nsclc.SCHEME.cardinality("AGE") == len(nsclc.NUMERIC_BINS["AGE"]) + 1

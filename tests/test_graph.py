@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalkit.data import CategoricalDataset
-from causalkit.errors import CycleError, SchemaMismatch, ShapeError, UnknownVariable
+from causalkit.errors import CycleError, SchemaMismatch, UnknownVariable
 from causalkit.graph import (
     Dag,
     Pdag,
     VariableScheme,
-    is_acyclic,
     parse_graph_json,
     serialize_graph,
 )
@@ -109,21 +108,9 @@ class TestMutateEdge:
 
 
 class TestIsAcyclic:
-    def test_zero_matrix(self):
-        assert is_acyclic(np.zeros((18, 18), dtype=int))
-
-    def test_two_cycle(self):
-        a = np.zeros((2, 2), dtype=int)
-        a[0, 1] = a[1, 0] = 1
-        assert not is_acyclic(a)
-
     def test_self_loop(self):
-        a = np.eye(3, dtype=int)
-        assert not is_acyclic(a)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
-            is_acyclic(np.zeros((2, 3)))
+        with pytest.raises(CycleError):
+            Dag(binary_scheme(3), frozenset((v, v) for v in range(3)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -142,7 +129,6 @@ class TestIsAcyclic:
             try:
                 g = g.add(u, v)
                 assert not would_cycle
-                assert is_acyclic(g.adjacency())
             except CycleError:
                 assert would_cycle
                 adj[u][v] = 0
