@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,30 +79,37 @@ class Factor:
 class BayesianNetwork:
     dag: Dag
     cpds: dict[str, Cpd]
+    # Derived once, in scheme order: each CPD's scope (parents, then child),
+    # which keys its inference plans, and its table with one axis per scope.
+    scopes: tuple = field(init=False, repr=False, compare=False)
+    tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scheme = self.dag.scheme
-        # Each CPD's scope (parents, then child) keys its inference plans.
-        scopes = tuple(self.dag.parents(i) + (i,) for i in range(len(scheme)))
-        object.__setattr__(self, "_scopes", scopes)
+        cards = scheme.cardinalities()
         for name in self.cpds:
             if name not in scheme.names:
                 raise SchemaMismatch(f"CPD for {name}, which the dag does not have")
+        scopes, tables = [], []
         for idx, name in enumerate(scheme.names):
             if name not in self.cpds:
                 raise UnparameterizedNetwork(f"missing CPD for {name}")
             cpd = self.cpds[name]
-            expected = tuple(scheme.names[p] for p in self.dag.parents(idx))
+            parents = self.dag.parents(idx)
+            expected = tuple(scheme.names[p] for p in parents)
             if cpd.parents != expected:
                 raise UnparameterizedNetwork(
                     f"CPD parents for {name} are {cpd.parents}, dag says {expected}"
                 )
-            cards = [scheme.cardinality(p) for p in expected]
-            shape = (int(np.prod(cards)) if cards else 1, scheme.cardinality(name))
+            shape = (math.prod(cards[p] for p in parents), cards[idx])
             if cpd.table.shape != shape:
                 raise UnparameterizedNetwork(
                     f"CPD for {name} has shape {cpd.table.shape}, expected {shape}"
                 )
+            scopes.append(parents + (idx,))
+            tables.append(cpd.table.reshape([cards[v] for v in scopes[-1]]))
+        object.__setattr__(self, "scopes", tuple(scopes))
+        object.__setattr__(self, "tables", tuple(tables))
 
     @property
     def scheme(self) -> VariableScheme:
@@ -125,18 +132,27 @@ class BayesianNetwork:
         try:
             dag_text = json.dumps(payload["dag"])
             specs = [
-                (name, tuple(spec["parents"]), np.array(spec["table"]))
+                (name, spec["parents"], spec["table"], np.array(spec["table"]))
                 for name, spec in payload["cpds"].items()
             ]
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise SchemaMismatch(f"not a network of dag and cpds ({exc!r})") from None
-        for name, _, table in specs:
-            if table.dtype.kind not in "iuf":
+        for name, parents, cells, table in specs:
+            if not isinstance(parents, list):
+                raise SchemaMismatch(f"CPD parents for {name} are not a list")
+            # numpy reads a JSON boolean as the number 0 or 1, so only a table
+            # holding one of those can hide a boolean cell.
+            if table.dtype.kind not in "iuf" or (
+                ((table == 0) | (table == 1)).any()
+                and bool in map(type, np.array(cells, dtype=object).flat)
+            ):
                 raise SchemaMismatch(f"CPD table for {name} is not numbers")
         dag = parse_graph_json(dag_text)
         if not isinstance(dag, Dag):
             raise SchemaMismatch("the network's dag has undirected edges")
-        cpds = {name: Cpd(name, parents, table) for name, parents, table in specs}
+        cpds = {
+            name: Cpd(name, tuple(parents), table) for name, parents, _, table in specs
+        }
         return cls(dag, cpds)
 
 
@@ -181,11 +197,8 @@ def fit_cpds(
 
 
 def cpd_to_factor(net: BayesianNetwork, name: str) -> Factor:
-    scheme = net.scheme
-    cpd = net.cpds[name]
-    scope = tuple(scheme.index(p) for p in cpd.parents) + (scheme.index(name),)
-    shape = tuple(scheme.cardinality(v) for v in scope)
-    return Factor(scheme, scope, cpd.table.reshape(shape))
+    idx = net.scheme.index(name)
+    return Factor(net.scheme, net.scopes[idx], net.tables[idx])
 
 
 def variable_elimination(
@@ -199,14 +212,11 @@ def variable_elimination(
     """
     scheme = net.scheme
     query_idx, ev = _resolve_query(scheme, query, evidence)
-    cards = scheme.cardinalities()
     tables = dict(enumerate(
-        net.cpds[name].table.reshape([cards[v] for v in scope])[
-            tuple(ev.get(v, slice(None)) for v in scope)
-        ]
-        for name, scope in zip(scheme.names, net._scopes)
+        table[tuple(ev.get(v, slice(None)) for v in scope)]
+        for table, scope in zip(net.tables, net.scopes)
     ))
-    plan = _plan(net._scopes, cards, query_idx, frozenset(ev))
+    plan = _plan(net.scopes, scheme.cardinalities(), query_idx, frozenset(ev))
     for slot, (spec, operands) in enumerate(plan, len(tables)):
         tables[slot] = np.einsum(spec, *map(tables.pop, operands))
     [values] = tables.values()

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import nsclc
-from .data import load_csv, write_csv
 from .errors import ToolkitError
 from .graph import (
     Dag,
@@ -44,6 +43,8 @@ def _load_scheme(path) -> VariableScheme:
 
 
 def _load_dataset(path, scheme):
+    from .data import load_csv
+
     dataset, dropped = _read(path, lambda text: load_csv(text, scheme))
     if dropped:
         print(f"dropped {dropped} rows with missing values", file=sys.stderr)
@@ -210,10 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args, scheme):
+    from .data import write_csv
+
     _write(args.out, write_csv(_load_dataset(args.csv, scheme)))
 
 
 def _cmd_cohort(args, scheme):
+    from .data import write_csv
     from .synth import CohortSpec, generate_cohort
 
     spec = CohortSpec.nsclc_default(args.n, getattr(args, "seed", 0))
@@ -221,6 +225,7 @@ def _cmd_cohort(args, scheme):
 
 
 def _cmd_sample(args, scheme):
+    from .data import write_csv
     from .synth import sample_from_network
 
     net = _load_network(args.network)
@@ -238,9 +243,7 @@ def _make_backend(args):
         return HttpBackend(args.url, args.model, args.out_transcript)
     if args.replay_file:
         return _read(args.replay_file, ReplayBackend.parse_jsonl)
-    if getattr(args, "strategy", None) == "pairwise":
-        return fixtures.pairwise_replay_backend()
-    return fixtures.refinement_replay_backend()
+    return fixtures.replay_backend()
 
 
 def _cmd_elicit(args, scheme):

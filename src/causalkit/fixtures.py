@@ -1,10 +1,9 @@
 """Recorded elicitation transcripts bundled for replay.
 
-These are the canned prompt/completion exchanges used by the test suite and
-by `elicit --backend replay` when no transcript file is supplied: the five
-published pairwise exchanges, the whole-graph single-prompt response, and
-the four-correction refinement session that produces draft versions V1
-through V5.
+One replay map holds the canned prompt/completion exchanges used by the test
+suite and by `elicit` and `refine` when no replay file is supplied: the 153
+pairwise prompts, the whole-graph single-prompt response, and the four
+correction turns of the refinement session that produces drafts V1 to V5.
 """
 
 from __future__ import annotations
@@ -105,15 +104,12 @@ def _v3_edges():
     return edges
 
 
-def _v4_edges():
-    return _v3_edges()
-
-
 def _v5_edges():
-    return _v4_edges() + [("TREATMENTPLAN", "SURVIVALMONTHS")]
+    return _v3_edges() + [("TREATMENTPLAN", "SURVIVALMONTHS")]
 
 
-REFINEMENT_DRAFT_EDGES = (_v2_edges, _v3_edges, _v4_edges, _v5_edges)
+# V2 to V5; the third correction's reply restates V3, so V4 is V3.
+REFINEMENT_DRAFT_EDGES = (_v2_edges, _v3_edges, _v3_edges, _v5_edges)
 
 
 def edges_to_reply(edges) -> str:
@@ -131,16 +127,18 @@ def edges_to_reply(edges) -> str:
     return " ".join(sentences)
 
 
-def pairwise_replay_backend() -> ReplayBackend:
-    """All 153 pairwise prompts: the five recorded completions for
-    their pairs (in the recorded ask direction), a neutral completion for
-    the rest."""
+def replay_backend() -> ReplayBackend:
+    """Every bundled exchange: all 153 pairwise prompts (the five recorded
+    completions in their recorded ask direction, a neutral completion for the
+    rest), the single prompt, and each correction prompt, which embeds the
+    sorted edges of the draft it corrects."""
+    scheme = nsclc.SCHEME
     recorded = {
         frozenset((cause, effect)): (cause, effect, completion)
         for cause, effect, completion, _ in PAIRWISE_FIXTURES
     }
     exchanges = {}
-    for cause, effect, prompt in pairwise_prompts(nsclc.SCHEME):
+    for cause, effect, prompt in pairwise_prompts(scheme):
         key = frozenset((cause, effect))
         if key in recorded:
             asked_cause, asked_effect, completion = recorded[key]
@@ -148,30 +146,19 @@ def pairwise_replay_backend() -> ReplayBackend:
             exchanges[prompt] = completion
         else:
             exchanges[prompt] = _UNCERTAIN_COMPLETION
+    exchanges[render_single_prompt(scheme)] = SINGLE_PROMPT_RESPONSE
+    drafts = [nsclc.v1_edges(), *(edges() for edges in REFINEMENT_DRAFT_EDGES)]
+    for correction, current, reply in zip(REFINEMENT_CORRECTIONS, drafts, drafts[1:]):
+        current = sorted({(scheme.index(u), scheme.index(v)) for u, v in current})
+        prompt = render_refine_prompt(correction, current, scheme)
+        exchanges[prompt] = edges_to_reply(reply)
     return ReplayBackend(exchanges)
 
 
-def refinement_replay_backend() -> ReplayBackend:
-    """Replay map covering the single prompt and all four correction turns."""
-    scheme = nsclc.SCHEME
-    exchanges = {render_single_prompt(scheme): SINGLE_PROMPT_RESPONSE}
-    # Correction prompts embed the previous draft's edge list, so build the
-    # session forward to reproduce the exact prompt bytes.
-    backend = ReplayBackend(exchanges)
-    _, session = elicit_graph("single", scheme, backend)
-    for correction, edge_fn in zip(REFINEMENT_CORRECTIONS, REFINEMENT_DRAFT_EDGES):
-        reply = edges_to_reply(edge_fn())
-        _, current = session.latest_draft
-        exchanges[render_refine_prompt(correction, current, scheme)] = reply
-        backend = ReplayBackend(exchanges)
-        session = refine(session, correction, backend, scheme)
-    return ReplayBackend(exchanges)
-
-
-def run_refinement_session(backend=None) -> ElicitationTranscript:
+def run_refinement_session() -> ElicitationTranscript:
     """Single-prompt elicitation plus the four recorded corrections."""
     scheme = nsclc.SCHEME
-    backend = backend or refinement_replay_backend()
+    backend = replay_backend()
     _, session = elicit_graph("single", scheme, backend)
     for correction in REFINEMENT_CORRECTIONS:
         session = refine(session, correction, backend, scheme)

@@ -230,11 +230,18 @@ def serialize_graph(graph, format: str = "json") -> str:
 
 
 def scheme_from_json(payload) -> VariableScheme:
-    """The scheme of a parsed `{"variables": [{"name", "states"}, ...]}` object."""
+    """The scheme of a parsed `{"variables": [{"name", "states"}, ...]}` object,
+    whose names are strings and whose states are lists of strings."""
     try:
-        return VariableScheme.of(
-            (v["name"], v["states"]) for v in payload["variables"]
-        )
+        variables = [(v["name"], v["states"]) for v in payload["variables"]]
+        for name, states in variables:
+            if not isinstance(name, str) or not (
+                isinstance(states, list) and all(isinstance(s, str) for s in states)
+            ):
+                raise TypeError(
+                    f"variable {name!r}: a name string and a list of state strings"
+                )
+        return VariableScheme.of(variables)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(
             f"not a variable list of name/states objects ({exc!r})"

@@ -49,12 +49,7 @@ def sample_from_network(
     rng = _rng(seed)
     rows = np.zeros((n, len(scheme)), dtype=np.int64)
     for idx in net.dag.topological_order():
-        name = scheme.names[idx]
-        cpd = net.cpds[name]
-        shape = tuple(scheme.cardinality(p) for p in cpd.parents) + (-1,)
-        probs = cpd.table.reshape(shape)[
-            tuple(rows[:, scheme.index(p)] for p in cpd.parents)
-        ]
+        probs = net.tables[idx][tuple(rows[:, p] for p in net.scopes[idx][:-1])]
         rows[:, idx] = _draw(probs, rng.random(n))
     return CategoricalDataset(scheme, rows)
 

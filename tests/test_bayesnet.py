@@ -355,3 +355,11 @@ class TestSerialization:
         f = cpd_to_factor(confounded_net, "Y")
         assert f.variables == (0, 1, 2)
         assert f.values.shape == (2, 2, 2)
+
+    def test_tables_are_cpd_views_with_one_axis_per_scope_variable(self):
+        net = reference_network(7)
+        for idx, name in enumerate(net.scheme.names):
+            scope, table = net.scopes[idx], net.tables[idx]
+            assert scope == net.dag.parents(idx) + (idx,)
+            assert table.shape == tuple(net.scheme.cardinality(v) for v in scope)
+            assert table.base is net.cpds[name].table

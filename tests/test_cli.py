@@ -289,6 +289,12 @@ class TestExitCodes:
             "network-table-of-numeric-strings",
             "network-table-of-bools",
             "network-cpd-not-in-dag",
+            "network-table-mixes-floats-and-bools",
+            "network-table-mixes-ints-and-bools",
+            "network-parents-not-a-list",
+            "scheme-states-a-string",
+            "scheme-states-not-strings",
+            "scheme-name-not-a-string",
         ],
     )
     def test_data_error_names_its_file(self, workdir, capsys, case):
@@ -309,6 +315,20 @@ class TestExitCodes:
             return {**net, "cpds": {**net["cpds"], name: cpd}}
 
         not_numbers = "CPD table for X0 is not numbers"
+        ab = workdir / "ab.csv"
+        ab.write_text("A,B\nx,1\n")
+        ingest = ["--scheme", str(bad), "ingest", "--csv", str(ab), "--out", str(out)]
+
+        def scheme(a_name, a_states, b_states):
+            variables = [{"name": a_name, "states": a_states}]
+            return {"variables": variables + [{"name": "B", "states": b_states}]}
+
+        def not_strings(variable):
+            exc = TypeError(
+                f"variable {variable}: a name string and a list of state strings"
+            )
+            return f"not a variable list of name/states objects ({exc!r})"
+
         content, argv, message = {
             "third-graph": ({"variables": []}, compare, None),
             "graph-variables-reversed": (
@@ -365,6 +385,28 @@ class TestExitCodes:
                 with_cpd("ZZZ", [[1.0]]),
                 sample,
                 "CPD for ZZZ, which the dag does not have",
+            ),
+            "network-table-mixes-floats-and-bools": (
+                with_cpd("X0", [[0.0, True]]), sample, not_numbers
+            ),
+            "network-table-mixes-ints-and-bools": (
+                with_cpd("X0", [[0, True]]), sample, not_numbers
+            ),
+            "network-parents-not-a-list": (
+                {**net, "cpds": {
+                    **net["cpds"], "X0": {"parents": "", "table": [[0.5, 0.5]]}
+                }},
+                sample,
+                "CPD parents for X0 are not a list",
+            ),
+            "scheme-states-a-string": (
+                scheme("A", "xy", ["0", "1"]), ingest, not_strings("'A'")
+            ),
+            "scheme-states-not-strings": (
+                scheme("A", ["x", "y"], [1, 2]), ingest, not_strings("'B'")
+            ),
+            "scheme-name-not-a-string": (
+                scheme(5, ["x", "y"], ["1", "2"]), ingest, not_strings("5")
             ),
         }[case]
         bad.write_text(json.dumps(content))
@@ -506,7 +548,7 @@ class TestElicit:
         from causalkit import fixtures
 
         replay = tmp_path / "replay.jsonl"
-        backend = fixtures.refinement_replay_backend()
+        backend = fixtures.replay_backend()
         fixtures.write_replay_file(replay, backend._exchanges)
         out = tmp_path / "graph.json"
         code = dispatch(
@@ -704,7 +746,8 @@ class TestExportDot:
 class TestImports:
     SCRIPT = textwrap.dedent(
         """
-        import json, sys
+        import io, json, sys
+        from causalkit import fixtures
         from causalkit.cli import dispatch
 
         def loaded(*names):
@@ -714,10 +757,18 @@ class TestImports:
             )
 
         graph, data, out = sys.argv[1:]
-        seen = {"import": loaded("scipy", *(f"causalkit.{m}" for m in
-                                            ("notears", "pc", "scoring")))}
+        seen = {"import": loaded("numpy", "scipy", *(f"causalkit.{m}" for m in
+                                                     ("notears", "pc", "scoring")))}
+        for strategy in ("single", "pairwise"):
+            argv = ["elicit", "--strategy", strategy, "--out-graph", out + ".g.json"]
+            assert dispatch(argv) == 0
+            seen[f"elicit-{strategy}"] = loaded("numpy")
+        corrections = [*fixtures.REFINEMENT_CORRECTIONS, ":done"]
+        sys.stdin = io.StringIO("\\n".join(corrections) + "\\n")
+        assert dispatch(["refine", "--out-graph", out + ".v5.json"]) == 0
+        seen["refine"] = loaded("numpy")
         assert dispatch(["export-dot", "--graph", graph, "--out", out + ".dot"]) == 0
-        seen["export-dot"] = loaded("scipy")
+        seen["export-dot"] = loaded("numpy", "scipy")
         argv = ["fit", "--graph", graph, "--data", data, "--out", out + ".json"]
         assert dispatch(argv) == 0
         seen["fit"] = loaded("scipy")
@@ -746,7 +797,8 @@ class TestImports:
         )
         seen = json.loads(proc.stdout.splitlines()[-1])
         assert seen == {
-            "import": [], "export-dot": [], "fit": [], "score": [], "compare": [],
+            "import": [], "elicit-single": [], "elicit-pairwise": [], "refine": [],
+            "export-dot": [], "fit": [], "score": [], "compare": [],
             "pc": [], "pc-ran": True,
         }
 

@@ -151,8 +151,16 @@ class TestReplayBackend:
         with pytest.raises(SchemaMismatch, match="^line 3: "):
             ReplayBackend.parse_jsonl(text)
 
+    def test_bundled_map_holds_exactly_the_prompts_sent(self):
+        exchanges = fixtures.replay_backend()._exchanges
+        _, pairwise = elicit_graph("pairwise", SCHEME, fixtures.replay_backend())
+        session = fixtures.run_refinement_session()
+        sent = [prompt for prompt, _, _ in pairwise.exchanges + session.exchanges]
+        assert len(exchanges) == 158
+        assert sorted(sent) == sorted(exchanges)
+
     def test_transcript_jsonl_is_replayable(self):
-        backend = fixtures.pairwise_replay_backend()
+        backend = fixtures.replay_backend()
         _, transcript = elicit_graph("pairwise", SCHEME, backend)
         lines = transcript.to_jsonl().strip().splitlines()
         assert len(lines) == 153
@@ -169,7 +177,7 @@ class TestReplayBackend:
 
 class TestElicitation:
     def test_pairwise_yields_recorded_yes_edges(self):
-        backend = fixtures.pairwise_replay_backend()
+        backend = fixtures.replay_backend()
         dag, transcript = elicit_graph("pairwise", SCHEME, backend)
         edges = {
             (SCHEME.names[u], SCHEME.names[v]) for u, v in dag.edges
@@ -183,7 +191,7 @@ class TestElicitation:
         assert transcript.latest_draft[0] == "V1"
 
     def test_single_yields_v1(self):
-        backend = fixtures.refinement_replay_backend()
+        backend = fixtures.replay_backend()
         dag, transcript = elicit_graph("single", SCHEME, backend)
         assert dag.edges == nsclc.v1_dag().edges
         assert transcript.latest_draft[0] == "V1"
