@@ -246,13 +246,19 @@ def _make_backend(args):
     return fixtures.replay_backend()
 
 
+def _write_transcript(args, session):
+    """The session's exchanges to --out-transcript, unless the http backend
+    has already appended each exchange there as it was made."""
+    if args.out_transcript and args.backend != "http":
+        _write(args.out_transcript, session.to_jsonl())
+
+
 def _cmd_elicit(args, scheme):
     from .llm import elicit_graph
 
     dag, transcript = elicit_graph(args.strategy, scheme, _make_backend(args))
     _write(args.out_graph, serialize_graph(dag, "json"))
-    if args.out_transcript and args.backend != "http":
-        _write(args.out_transcript, transcript.to_jsonl())
+    _write_transcript(args, transcript)
 
 
 def _cmd_refine(args, scheme):
@@ -282,8 +288,7 @@ def _cmd_refine(args, scheme):
             print(f"  - {scheme.names[u]} -> {scheme.names[v]}")
     _, edges = session.latest_draft
     _write(args.out_graph, serialize_graph(Dag(scheme, frozenset(edges)), "json"))
-    if args.out_transcript:
-        _write(args.out_transcript, session.to_jsonl())
+    _write_transcript(args, session)
 
 
 def _cmd_discover(args, scheme):
@@ -320,14 +325,21 @@ def _cmd_discover(args, scheme):
 
 
 def _score_table(args, scheme, paths) -> str:
-    """BDeu of each graph file at each --ess value, as one printed table."""
+    """BDeu of each graph file at each --ess value, as one printed table
+    with a column per file, headed by the file's stem."""
     from .scoring import bdeu_total, score_table
 
+    files = {}
+    for path in paths:
+        stem = Path(path).stem
+        first = files.setdefault(stem, path)
+        if Path(first).resolve() != Path(path).resolve():
+            raise ToolkitError(f"{first} and {path} would share column {stem!r}")
     data = _load_dataset(args.data, scheme)
     reports = {}
-    for path in paths:
+    for stem, path in files.items():
         graph = _load_dag(path, scheme, "scoring")
-        reports[Path(path).stem] = [
+        reports[stem] = [
             bdeu_total(graph, data, ess, args.variant) for ess in args.ess
         ]
     return score_table(reports)

@@ -164,24 +164,29 @@ class Pdag:
     scheme: VariableScheme
     directed: frozenset[tuple[int, int]] = field(default_factory=frozenset)
     undirected: frozenset[frozenset[int]] = field(default_factory=frozenset)
+    neighbours: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         und = frozenset(frozenset(e) for e in self.undirected)
         object.__setattr__(self, "undirected", und)
+        # Each variable's neighbours, whatever the marks, derived as edges are checked.
+        adj = [set() for _ in range(len(self.scheme))]
         for e in und:
             if len(e) != 2:
                 raise ValueError(f"undirected edge {sorted(e)} is not two variables")
+            a, b = e
+            adj[a].add(b)
+            adj[b].add(a)
         for u, v in self.directed:
             if u == v:
                 raise CycleError(f"self-loop on {self.scheme.names[u]}")
             if frozenset((u, v)) in und:
                 raise ValueError("edge appears both directed and undirected")
-        seen = set()
-        for u, v in self.directed:
-            pair = frozenset((u, v))
-            if pair in seen:
+            if v in adj[u]:
                 raise ValueError("both orientations of one pair present")
-            seen.add(pair)
+            adj[u].add(v)
+            adj[v].add(u)
+        object.__setattr__(self, "neighbours", tuple(map(frozenset, adj)))
 
     @classmethod
     def from_names(cls, scheme, directed=(), undirected=()) -> "Pdag":
@@ -267,7 +272,8 @@ def _edge_pairs(edges, n: int) -> list[tuple[int, int]]:
 def parse_graph_json(text: str, scheme: VariableScheme | None = None):
     """Inverse of serialize_graph(json).  Returns a Dag when no undirected edges.
 
-    JSON that is not a graph over the scheme raises SchemaMismatch.
+    JSON that is not a graph over the scheme raises SchemaMismatch, and
+    directed edges that close a cycle raise CycleError.
     """
     payload = json.loads(text)
     if scheme is None:
@@ -281,9 +287,9 @@ def parse_graph_json(text: str, scheme: VariableScheme | None = None):
     undirected = _edge_pairs(payload.get("undirected", []), len(scheme))
     if undirected:
         try:
-            return Pdag(
-                scheme, directed, frozenset(frozenset(e) for e in undirected)
-            )
+            pdag = Pdag(scheme, directed, frozenset(frozenset(e) for e in undirected))
         except ValueError as exc:
             raise SchemaMismatch(str(exc)) from None
+        Dag(scheme, directed)  # its directed part must be acyclic too
+        return pdag
     return Dag(scheme, directed)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .data import CategoricalDataset
-from .errors import InsufficientData
+from .errors import CycleError, InsufficientData
 from .graph import Dag, Pdag, VariableScheme
 
 log = logging.getLogger(__name__)
@@ -256,15 +256,6 @@ def learn_skeleton(
     return Pdag(scheme, frozenset(), undirected), sepsets
 
 
-def _neighbours(pdag: Pdag) -> dict[int, set[int]]:
-    """Each variable's adjacent variables, whatever the edges' marks."""
-    adj: dict[int, set[int]] = {v: set() for v in range(len(pdag.scheme))}
-    for a, b in map(tuple, pdag.skeleton_pairs()):
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
 def orient_v_structures(skeleton: Pdag, sepsets: SepsetMap) -> Pdag:
     """Orient x -> z <- y for nonadjacent x, y whose sepset excludes z.
 
@@ -273,37 +264,36 @@ def orient_v_structures(skeleton: Pdag, sepsets: SepsetMap) -> Pdag:
     before it (logged): colliders from sampled data need not be consistent.
     """
     proposals: set[tuple[int, int]] = set()
-    pairs = skeleton.skeleton_pairs()
-    adj = _neighbours(skeleton)
-    for z in adj:
-        for x, y in combinations(sorted(adj[z]), 2):
+    adj = skeleton.neighbours
+    for z, around in enumerate(adj):
+        for x, y in combinations(sorted(around), 2):
             if y in adj[x]:
                 continue
             sep = sepsets.get(x, y)
             if sep is not None and z not in sep:
                 proposals.add((x, z))
                 proposals.add((y, z))
-    directed = set()
+    dag = Dag(skeleton.scheme)
     for u, v in proposals:
-        if (v, u) in proposals:
-            if u < v:  # one warning per edge, not one per direction
+        if (v, u) not in proposals:
+            try:
+                dag = dag.add(u, v)
+            except CycleError:
                 log.warning(
-                    "conflicting collider orientations on edge (%d, %d); "
+                    "collider orientation (%d, %d) would close a directed cycle; "
                     "kept undirected",
                     u,
                     v,
                 )
-        elif _reaches(v, u, directed, adj):
+        elif u < v:  # one warning per edge, not one per direction
             log.warning(
-                "collider orientation (%d, %d) would close a directed cycle; "
+                "conflicting collider orientations on edge (%d, %d); "
                 "kept undirected",
                 u,
                 v,
             )
-        else:
-            directed.add((u, v))
-    undirected = frozenset(pairs - {frozenset(e) for e in directed})
-    return Pdag(skeleton.scheme, frozenset(directed), undirected)
+    undirected = skeleton.skeleton_pairs() - {frozenset(e) for e in dag.edges}
+    return Pdag(skeleton.scheme, dag.edges, frozenset(undirected))
 
 
 def _meek_implies(a, b, directed, undirected, adj) -> bool:
@@ -341,49 +331,37 @@ def _meek_implies(a, b, directed, undirected, adj) -> bool:
     )
 
 
-def _reaches(src, dst, directed, adj) -> bool:
-    """True if a path of directed edges leads from src to dst."""
-    seen, frontier = {src}, [src]
-    while frontier:
-        u = frontier.pop()
-        if u == dst:
-            return True
-        for v in adj[u] - seen:
-            if (u, v) in directed:
-                seen.add(v)
-                frontier.append(v)
-    return False
-
-
 def meek_closure(pdag: Pdag, acyclic: bool = False) -> Pdag:
     """Apply R1-R4 to fixpoint.  Never un-orients an edge.
 
     Each step orients the first undirected edge, in sorted pair order and
     trying both directions, that R1-R4 imply.  Meek's rules are sound only
     for a consistent pattern; on colliders from sampled data they can close
-    a directed cycle.  With `acyclic=True` (as pc_run uses it) an implied
-    a -> b whose b already reaches a is refused instead: the edge stays
+    a directed cycle.  With `acyclic=True` (as pc_run uses it) the directed
+    edges must form a Dag (else CycleError), and a step the Dag refuses stays
     undirected, is skipped from then on, and a warning is logged.
     """
     directed = set(pdag.directed)
     undirected = set(pdag.undirected)
-    adj = _neighbours(pdag)
+    if acyclic:
+        Dag(pdag.scheme, pdag.directed)
     refused: set[frozenset[int]] = set()
     while step := next(
         (
             (a, b)
             for pair in sorted(tuple(sorted(p)) for p in undirected - refused)
             for a, b in (pair, pair[::-1])
-            if _meek_implies(a, b, directed, undirected, adj)
+            if _meek_implies(a, b, directed, undirected, pdag.neighbours)
         ),
         None,
     ):
-        a, b = step
-        if acyclic and _reaches(b, a, directed, adj):
+        try:
+            if acyclic:
+                Dag(pdag.scheme, frozenset(directed | {step}))
+        except CycleError:
             log.warning(
                 "orienting (%d, %d) would close a directed cycle; kept undirected",
-                a,
-                b,
+                *step,
             )
             refused.add(frozenset(step))
         else:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -282,6 +283,7 @@ class TestExitCodes:
             "pdag-fit",
             "pdag-ate",
             "undirected-self-loop",
+            "directed-cycle-beside-an-undirected-edge",
             "network-undirected-edge",
             "network-undirected-edge-ate",
             "network-table-of-strings",
@@ -360,6 +362,11 @@ class TestExitCodes:
                 {**graph, "undirected": [[0, 0]]},
                 ["export-dot", "--graph", str(bad), "--out", str(out)],
                 "undirected edge [0] is not two variables",
+            ),
+            "directed-cycle-beside-an-undirected-edge": (
+                {**graph, "directed": [[0, 1], [1, 2], [2, 0]], "undirected": [[3, 4]]},
+                ["export-dot", "--graph", str(bad), "--out", str(out)],
+                "edge set contains a directed cycle",
             ),
             "network-undirected-edge": (
                 {**net, "dag": {**net["dag"], "undirected": [[0, 2]]}},
@@ -579,6 +586,28 @@ class TestElicit:
         assert code == 2
 
 
+class TestRefine:
+    def test_bundled_replay_session_in_process(self, tmp_path, capsys, monkeypatch):
+        from causalkit import fixtures
+
+        first, second, third, fourth = fixtures.REFINEMENT_CORRECTIONS
+        lines = [first, "", second, "no such correction was recorded", third, fourth]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines + [":done"])))
+        out = tmp_path / "v5.json"
+        assert dispatch(["refine", "--out-graph", str(out)]) == 0
+        captured = capsys.readouterr()
+        printed = captured.out.splitlines()
+        assert printed[0] == "current edges:"
+        assert "  + AGE -> SMOKING" in printed
+        assert "  - KRAS -> STAGEGROUP" in printed
+        assert "  + SMOKING -> KRAS" in printed
+        assert "  + TREATMENTPLAN -> SURVIVALMONTHS" in printed
+        assert printed[-1] == f"wrote {out}"
+        [rejected] = captured.err.splitlines()
+        assert rejected.startswith("correction rejected: ")
+        assert parse_graph_json(out.read_text()).edges == nsclc.v5_dag().edges
+
+
 class TestScoreFitAte:
     def test_score_table_output(self, workdir, capsys):
         code = dispatch(
@@ -679,6 +708,18 @@ class TestScoreFitAte:
         assert code == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "v1" in header and "v5" in header
+
+    def test_compare_rejects_two_graph_files_with_one_stem(self, workdir, capsys):
+        # One column per stem: b/g.json's scores would stand in for a/g.json's.
+        first, second = workdir / "a" / "g.json", workdir / "b" / "g.json"
+        for path, dag in ((first, nsclc.v1_dag()), (second, nsclc.v5_dag())):
+            path.parent.mkdir()
+            path.write_text(serialize_graph(dag, "json"))
+        graphs = ["--graphs", str(first), str(second)]
+        assert dispatch(["compare", *graphs, "--data", str(workdir / "data.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {first} and {second} would share column 'g'\n"
 
 
 class TestDiscover:

@@ -282,3 +282,31 @@ class TestPdag:
         s = binary_scheme(2)
         with pytest.raises(ValueError):
             Pdag.from_names(s, directed=[("X0", "X1"), ("X1", "X0")])
+
+    def test_neighbours_are_derived_whatever_the_marks(self):
+        pdag = Pdag.from_names(
+            binary_scheme(5),
+            directed=[("X0", "X1"), ("X2", "X1")],
+            undirected=[("X1", "X3")],
+        )
+        assert pdag.neighbours == (
+            frozenset({1}),
+            frozenset({0, 2, 3}),
+            frozenset({1}),
+            frozenset({1}),
+            frozenset(),
+        )
+        pairs = {frozenset((v, w)) for v, ws in enumerate(pdag.neighbours) for w in ws}
+        assert pairs == pdag.skeleton_pairs()
+
+    def test_graph_file_with_a_directed_cycle_rejected_whatever_the_undirected(self):
+        s = binary_scheme(5)
+        payload = json.loads(serialize_graph(Dag(s), "json"))
+        cycle = {**payload, "directed": [[0, 1], [1, 2], [2, 0]]}
+        for undirected in ([], [[3, 4]]):
+            with pytest.raises(CycleError):
+                parse_graph_json(json.dumps({**cycle, "undirected": undirected}))
+        # A pair in both orientations keeps its own message.
+        both = {**payload, "directed": [[0, 1], [1, 0]], "undirected": [[3, 4]]}
+        with pytest.raises(SchemaMismatch, match="both orientations of one pair"):
+            parse_graph_json(json.dumps(both))

@@ -1,9 +1,11 @@
+import io
 import json
 
 import pytest
 import requests
 
 from causalkit import fixtures, llm, nsclc
+from causalkit.cli import dispatch
 from causalkit.errors import (
     BackendError,
     CyclicDraft,
@@ -120,6 +122,18 @@ class TestAdjacencyParser:
             parse_adjacency_response(text, SCHEME)
         assert ("AGE", "SMOKING") in info.value.edges
 
+    def test_nsclc_is_not_an_unknown_variable(self):
+        text = "In NSCLC, AGE can affect the STAGEGROUP."
+        dag, unparsed = parse_adjacency_response(text, SCHEME)
+        assert dag.edges == {(SCHEME.index("AGE"), SCHEME.index("STAGEGROUP"))}
+        assert unparsed == []
+
+    def test_marker_sentence_without_an_edge_is_unparsed(self):
+        text = "Diet can affect the outcome. AGE can affect the STAGEGROUP."
+        dag, unparsed = parse_adjacency_response(text, SCHEME)
+        assert unparsed == ["Diet can affect the outcome."]
+        assert dag.edges == {(SCHEME.index("AGE"), SCHEME.index("STAGEGROUP"))}
+
     def test_chain_marker(self):
         text = "CHESTPAIN can indicate the STAGEGROUP, which in turn influences the TREATMENTPLAN."
         dag, _ = parse_adjacency_response(text, SCHEME)
@@ -218,6 +232,22 @@ class TestElicitation:
             render_pairwise_prompt("A", "C"),
             render_pairwise_prompt("C", "B"),
         ]
+
+    def test_pairwise_yes_that_would_close_a_cycle_is_skipped(self):
+        # A -> B, then the reversed prompt gives C -> A, so B -> C would
+        # close A -> B -> C -> A.
+        scheme = VariableScheme.of([(n, ("0", "1")) for n in "ABC"])
+        backend = ReplayBackend(
+            {
+                render_pairwise_prompt("A", "B"): "Yes, it does.",
+                render_pairwise_prompt("C", "A"): "Yes, it does.",
+                render_pairwise_prompt("B", "C"): "Yes, it does.",
+            }
+        )
+        dag, transcript = elicit_graph("pairwise", scheme, backend)
+        assert dag.edges == {(0, 1), (2, 0)}
+        assert [c for _, c, _ in transcript.exchanges] == ["Yes, it does."] * 3
+        assert transcript.latest_draft == ("V1", ((0, 1), (2, 0)))
 
     def test_pairwise_miss_in_both_orders_raises(self):
         scheme = VariableScheme.of([(n, ("0", "1")) for n in "AB"])
@@ -370,3 +400,28 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="malformed"):
             HttpBackend("http://llm.invalid/v1", "m", transcript).send("p")
         assert not transcript.exists()
+
+    def test_refine_keeps_every_exchange_in_its_transcript(
+        self, fake, tmp_path, monkeypatch
+    ):
+        # The backend appends each exchange as it is made; refine must not
+        # overwrite the file from its session, which holds neither the line
+        # already there nor the rejected correction's exchange.
+        calls, _, replies = fake
+        completions = [
+            fixtures.SINGLE_PROMPT_RESPONSE,
+            "AGE can affect the SMOKING. SMOKING can affect the AGE.",
+            fixtures.edges_to_reply(nsclc.v1_edges() + [("AGE", "SMOKING")]),
+        ]
+        replies.extend(_response(200, _completion(c)) for c in completions)
+        transcript = tmp_path / "t.jsonl"
+        earlier = llm.transcript_line("an earlier prompt", "an earlier reply", 0.0)
+        transcript.write_text(earlier)
+        monkeypatch.setattr("sys.stdin", io.StringIO("one\ntwo\n:done\n"))
+        argv = ["refine", "--backend", "http", "--url", "http://llm.invalid/v1",
+                "--out-graph", str(tmp_path / "g.json"),
+                "--out-transcript", str(transcript)]
+        assert dispatch(argv) == 0
+        lines = transcript.read_text().splitlines(keepends=True)
+        assert len(calls) == 3 and lines[0] == earlier
+        assert [json.loads(line)["completion"] for line in lines[1:]] == completions

@@ -610,6 +610,18 @@ class TestMeekRules:
         out = meek_closure(pdag)
         assert pdag.directed <= out.directed
 
+    def test_guarded_closure_needs_an_acyclic_start(self):
+        # R1 orients X2 -> X3 (X1 -> X2 - X3, X1 and X3 nonadjacent), but the
+        # directed part X0 -> X1 -> X2 -> X0 is already a cycle.
+        pdag = Pdag.from_names(
+            binary_scheme(4),
+            directed=[("X0", "X1"), ("X1", "X2"), ("X2", "X0")],
+            undirected=[("X2", "X3")],
+        )
+        assert meek_closure(pdag).directed == pdag.directed | {(2, 3)}
+        with pytest.raises(CycleError):
+            meek_closure(pdag, acyclic=True)
+
 
 class TestAcyclicGuard:
     # X2 -> X0 - X1 with X2, X1 nonadjacent: R1 orients X0 -> X1, which
