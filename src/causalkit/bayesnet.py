@@ -1,11 +1,11 @@
 """Bayesian-network parameterization and exact inference.
 
-A Factor is a dense table with one axis per variable of an ordered
-variable-index scope.  variable_elimination is the production path: bucket
-elimination in which every multiply-and-sum step is one np.einsum call.  The
-steps are planned once per (CPD scopes, cardinalities, query variables,
-evidence variables) and replayed on each network of that structure.
-brute_force_query enumerates the full joint and exists as its oracle.
+Inference returns the normalized posterior as an array with one axis per
+query variable, in query order.  variable_elimination is the production path:
+bucket elimination in which every multiply-and-sum step is one np.einsum
+call.  The steps are planned once per (CPD scopes, cardinalities, query
+variables, evidence variables) and replayed on each network of that
+structure.  brute_force_query enumerates the full joint and is its oracle.
 """
 
 from __future__ import annotations
@@ -55,24 +55,6 @@ class Cpd:
             raise CardinalityMismatch(f"CPD table for {self.child} is not finite")
         if (table < 0).any() or np.abs(table.sum(axis=1) - 1.0).max() > 1e-9:
             raise CardinalityMismatch(f"CPD rows for {self.child} not normalized")
-
-
-@dataclass(frozen=True)
-class Factor:
-    """Nonnegative dense table over an ordered subset of scheme variables."""
-
-    scheme: VariableScheme
-    variables: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        expected = tuple(self.scheme.cardinality(v) for v in self.variables)
-        if values.shape != expected:
-            raise CardinalityMismatch(
-                f"factor shape {values.shape} != cardinalities {expected}"
-            )
 
 
 @dataclass(frozen=True)
@@ -196,14 +178,9 @@ def fit_cpds(
     return BayesianNetwork(dag, cpds)
 
 
-def cpd_to_factor(net: BayesianNetwork, name: str) -> Factor:
-    idx = net.scheme.index(name)
-    return Factor(net.scheme, net.scopes[idx], net.tables[idx])
-
-
 def variable_elimination(
     net: BayesianNetwork, query, evidence: dict | None = None
-) -> Factor:
+) -> np.ndarray:
     """Normalized posterior P(query | evidence) by bucket elimination.
 
     Each CPD's table, shaped to its scope, has the evidence sliced out; the
@@ -220,10 +197,7 @@ def variable_elimination(
     for slot, (spec, operands) in enumerate(plan, len(tables)):
         tables[slot] = np.einsum(spec, *map(tables.pop, operands))
     [values] = tables.values()
-    total = values.sum()
-    if total <= 0:
-        raise ZeroEvidenceProbability("evidence has probability zero")
-    return Factor(scheme, query_idx, values / total)
+    return _normalized(values)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -277,7 +251,7 @@ def _plan(scopes, cards, query_idx, evidence_vars) -> tuple:
 
 def brute_force_query(
     net: BayesianNetwork, query, evidence: dict | None = None
-) -> Factor:
+) -> np.ndarray:
     """Oracle: materialize the full joint, condition, and marginalize."""
     scheme = net.scheme
     cards = scheme.cardinalities()
@@ -287,15 +261,10 @@ def brute_force_query(
 
     joint = np.ones(cards)
     all_vars = tuple(range(len(scheme)))
-    for name in scheme.names:
-        f = cpd_to_factor(net, name)
-        axes = [
-            cards[v] if v in f.variables else 1 for v in all_vars
-        ]
-        order = sorted(
-            range(len(f.variables)), key=lambda i: f.variables[i]
-        )
-        joint = joint * np.transpose(f.values, order).reshape(axes)
+    for scope, table in zip(net.scopes, net.tables):
+        axes = [cards[v] if v in scope else 1 for v in all_vars]
+        order = sorted(range(len(scope)), key=scope.__getitem__)
+        joint = joint * np.transpose(table, order).reshape(axes)
 
     # Condition on evidence by slicing, then sum out everything but the query.
     index = [slice(None)] * len(all_vars)
@@ -310,10 +279,15 @@ def brute_force_query(
         marginal = np.transpose(
             marginal, [remaining.index(q) for q in query_idx]
         )
-    total = marginal.sum()
+    return _normalized(marginal)
+
+
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """`values` over their sum, a 0-d array for an empty query."""
+    total = values.sum()
     if total <= 0:
         raise ZeroEvidenceProbability("evidence has probability zero")
-    return Factor(scheme, query_idx, marginal / total)
+    return np.asarray(values / total)
 
 
 def _resolve_query(scheme: VariableScheme, query, evidence):

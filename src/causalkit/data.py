@@ -111,6 +111,9 @@ def load_csv(source, scheme: VariableScheme):
     unknown = [h for h in header if h not in scheme.names]
     if unknown:
         raise SchemaMismatch(f"unknown columns: {unknown}")
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise SchemaMismatch(f"repeated columns: {repeated}")
     missing = [name for name in scheme.names if name not in header]
     if missing:
         raise SchemaMismatch(f"missing columns: {missing}")

@@ -32,6 +32,8 @@ class VariableScheme:
                 raise ValueError("variable names must be nonempty")
             if len(states) < 2:
                 raise ValueError(f"variable {name!r} needs at least 2 states")
+            if len(set(states)) != len(states):
+                raise ValueError(f"variable {name!r} repeats a state")
         # Derived once, since names is read inside per-variable loops.
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})

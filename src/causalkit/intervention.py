@@ -65,7 +65,7 @@ def _expected_outcome(
     """E[v(outcome) | evidence] on a mutilated network; `values` holds v per
     outcome state, in scheme order."""
     posterior = infer(mutilated, (outcome,), dict(evidence))
-    return float(posterior.values @ values)
+    return float(posterior @ values)
 
 
 def ate(net: BayesianNetwork, q: InterventionQuery, infer=variable_elimination) -> float:

@@ -36,16 +36,20 @@ class ReplayBackend:
 
     @classmethod
     def parse_jsonl(cls, text: str) -> "ReplayBackend":
-        """Backend from JSON lines of {"prompt": ..., "completion": ...}."""
+        """Backend from JSON lines of {"prompt": ..., "completion": ...} strings."""
         exchanges = {}
         for number, line in enumerate(text.split("\n"), 1):
             if line.strip():
                 try:
                     record = json.loads(line)
-                    exchanges[record["prompt"]] = record["completion"]
+                    prompt, completion = record["prompt"], record["completion"]
+                    if not (isinstance(prompt, str) and isinstance(completion, str)):
+                        raise TypeError
+                    exchanges[prompt] = completion
                 except (ValueError, KeyError, TypeError):
                     raise SchemaMismatch(
-                        f"line {number}: not a JSON object with prompt and completion"
+                        f"line {number}: not a JSON object with prompt and "
+                        "completion strings"
                     ) from None
         return cls(exchanges)
 
@@ -119,15 +123,6 @@ def transcript_line(prompt: str, completion: str, t: float) -> str:
 
 
 @dataclass(frozen=True)
-class EdgeVerdict:
-    cause: str
-    effect: str
-    verdict: str  # yes | no | uncertain
-    completion: str
-    matched: str | None = None
-
-
-@dataclass(frozen=True)
 class ElicitationTranscript:
     exchanges: tuple[tuple[str, str, float], ...] = ()
     drafts: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = ()
@@ -184,18 +179,16 @@ _AFFIRMATION_PATTERNS = (
 )
 
 
-def parse_verdict(completion: str, cause: str, effect: str) -> EdgeVerdict:
-    """Rule cascade over the completion text; first matching rule wins."""
+def parse_verdict(completion: str) -> str:
+    """The verdict "yes", "no" or "uncertain" by a rule cascade over the text:
+    a leading "yes", then the negations, then the affirmations."""
     lowered = completion.lower()
-    if lowered.startswith("yes,") or lowered.startswith("yes "):
-        return EdgeVerdict(cause, effect, "yes", completion, completion[:4])
+    if lowered.startswith(("yes,", "yes ")):
+        return "yes"
     for verdict, patterns in ("no", _NEGATION_PATTERNS), ("yes", _AFFIRMATION_PATTERNS):
-        for pattern in patterns:
-            pos = lowered.find(pattern)
-            if pos >= 0:
-                matched = completion[pos : pos + len(pattern)]
-                return EdgeVerdict(cause, effect, verdict, completion, matched)
-    return EdgeVerdict(cause, effect, "uncertain", completion, None)
+        if any(pattern in lowered for pattern in patterns):
+            return verdict
+    return "uncertain"
 
 
 def render_single_prompt(scheme: VariableScheme) -> str:
@@ -225,7 +218,8 @@ _IGNORED_TOKENS = {"NSCLC"}
 
 
 def _find_variables(sentence: str, scheme: VariableScheme):
-    """(position, names) occurrences of scheme variables and their aliases."""
+    """(position, names) occurrences of scheme variables and their aliases,
+    each matched as a whole word."""
     alias_map = {name: (name,) for name in scheme.names}
     for alias, target in VARIABLE_ALIASES.items():
         if target in scheme.names:
@@ -234,7 +228,9 @@ def _find_variables(sentence: str, scheme: VariableScheme):
         alias_map["SYMPTOMS"] = SYMPTOMS
     hits = []
     for alias in sorted(alias_map, key=len, reverse=True):
-        for match in re.finditer(re.escape(alias), sentence, re.I):
+        # Not \b: a scheme name may start or end with a non-word character.
+        pattern = r"(?<!\w)" + re.escape(alias) + r"(?!\w)"
+        for match in re.finditer(pattern, sentence, re.I):
             span = (match.start(), match.end())
             if any(s < span[1] and span[0] < e for s, e, _ in hits):
                 continue  # already claimed by a longer alias
@@ -358,8 +354,7 @@ def elicit_graph(strategy: str, scheme: VariableScheme, backend):
                 prompt = render_pairwise_prompt(cause, effect)
                 completion = backend.send(prompt)
             transcript = transcript.with_exchange(prompt, completion)
-            verdict = parse_verdict(completion, cause, effect)
-            if verdict.verdict == "yes":
+            if parse_verdict(completion) == "yes":
                 try:
                     dag = dag.add(cause, effect)
                 except CycleError:

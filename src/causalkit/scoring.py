@@ -21,7 +21,6 @@ class ScoreReport:
     per_node: dict[str, float]
     total: float
     ess: float
-    variant: str
 
 
 def bdeu_family_paper(counts: CountTable, alpha: float) -> float:
@@ -80,7 +79,7 @@ def bdeu_total(
         counts = contingency_counts(data, name, parents)
         per_node[name] = _FAMILY[variant](counts, alpha)
     total = sum(per_node.values())
-    return ScoreReport(per_node, total, alpha, variant)
+    return ScoreReport(per_node, total, alpha)
 
 
 def score_table(reports_by_graph: dict[str, list[ScoreReport]]) -> str:

@@ -9,11 +9,9 @@ from causalkit import bayesnet, nsclc
 from causalkit.bayesnet import (
     BayesianNetwork,
     Cpd,
-    Factor,
     _plan,
     _table_text,
     brute_force_query,
-    cpd_to_factor,
     fit_cpds,
     variable_elimination,
 )
@@ -24,7 +22,7 @@ from causalkit.errors import (
     UnparameterizedNetwork,
     ZeroEvidenceProbability,
 )
-from causalkit.graph import Dag, serialize_graph
+from causalkit.graph import Dag, VariableScheme, serialize_graph
 from causalkit.intervention import ate_grid
 from causalkit.synth import random_network, reference_network, sample_from_network
 
@@ -118,25 +116,19 @@ class TestFitCpds:
         assert net.cpds["X0"].table[0, 1] == pytest.approx(0.1, abs=1e-3)
 
 
-class TestFactors:
-    def test_shape_validation(self, abc_scheme):
-        with pytest.raises(CardinalityMismatch):
-            Factor(abc_scheme, (0, 1), np.zeros((2, 3)))
-
-
 class TestInference:
     def test_chain_posterior_hand_values(self, chain_net):
         pb = variable_elimination(chain_net, ["B"])
-        assert pb.values.tolist() == pytest.approx([0.59, 0.41])
+        assert pb.tolist() == pytest.approx([0.59, 0.41])
         pa = variable_elimination(chain_net, ["A"], {"B": "1"})
-        assert pa.values[1] == pytest.approx(0.27 / 0.41)
+        assert pa[1] == pytest.approx(0.27 / 0.41)
 
     def test_evidence_as_indices_or_labels(self, chain_net):
         by_label = variable_elimination(chain_net, ["A"], {"B": "1"})
         by_index = variable_elimination(chain_net, [0], {1: 1})
         by_numpy = variable_elimination(chain_net, [0], {np.int64(1): np.int64(1)})
-        assert np.allclose(by_label.values, by_index.values)
-        assert by_numpy.values.tolist() == by_index.values.tolist()
+        assert np.allclose(by_label, by_index)
+        assert by_numpy.tolist() == by_index.tolist()
 
     def test_query_evidence_overlap_rejected(self, chain_net):
         with pytest.raises(ValueError):
@@ -160,8 +152,19 @@ class TestInference:
     def test_joint_query_matches_brute_force(self, confounded_net):
         ve = variable_elimination(confounded_net, ["Y", "M"])
         bf = brute_force_query(confounded_net, ["Y", "M"])
-        assert ve.variables == bf.variables
-        assert np.allclose(ve.values, bf.values, atol=1e-12)
+        assert ve.shape == bf.shape == (2, 2)
+        assert np.allclose(ve, bf, atol=1e-12)
+
+    @pytest.mark.parametrize("infer", [variable_elimination, brute_force_query])
+    def test_posterior_is_an_array_with_one_axis_per_query_variable(self, infer):
+        scheme = VariableScheme.of([("A", ("0", "1")), ("B", ("0", "1", "2"))])
+        net = random_network(Dag.from_names(scheme, [("A", "B")]), seed=3)
+        ab, ba = infer(net, ["A", "B"]), infer(net, ["B", "A"])
+        assert type(ab) is np.ndarray and ab.shape == (2, 3)
+        assert np.allclose(ba, ab.T, rtol=0, atol=1e-15)
+        assert ab.sum() == pytest.approx(1.0)
+        empty = infer(net, [], {"B": "2"})
+        assert type(empty) is np.ndarray and empty.shape == () and empty == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -185,7 +188,7 @@ class TestInference:
                 brute_force_query(net, query, evidence)
             return
         bf = brute_force_query(net, query, evidence)
-        assert np.allclose(ve.values, bf.values, atol=1e-9)
+        assert np.allclose(ve, bf, atol=1e-9)
 
 
 class TestPlanCache:
@@ -215,7 +218,7 @@ class TestPlanCache:
             for net, query, evidence in patterns:
                 try:
                     posterior = variable_elimination(net, query, evidence)
-                    out.append(posterior.values.tobytes())
+                    out.append(posterior.tobytes())
                 except ZeroEvidenceProbability:
                     out.append(None)
             return out
@@ -240,8 +243,8 @@ class TestPlanCache:
             net = random_network(dag, seed=seed)
             ve = variable_elimination(net, ["X4", "X1"], {"X3": "1"})
             bf = brute_force_query(net, ["X4", "X1"], {"X3": "1"})
-            assert np.allclose(ve.values, bf.values, rtol=0, atol=1e-12)
-            posteriors.append(ve.values)
+            assert np.allclose(ve, bf, rtol=0, atol=1e-12)
+            posteriors.append(ve)
         info = _plan.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert not np.allclose(*posteriors)
@@ -258,7 +261,7 @@ class TestPlanCache:
         )
         _plan.cache_clear()
         posterior = variable_elimination(net, ["X0"], {"X1": "0"})
-        assert posterior.values.tolist() == [1.0, 0.0]
+        assert posterior.tolist() == [1.0, 0.0]
         for _ in range(2):
             with pytest.raises(ZeroEvidenceProbability):
                 variable_elimination(net, ["X0"], {"X1": "1"})
@@ -282,6 +285,8 @@ class TestPlanCache:
             ((0,), {1: 1, "B": 1}, ValueError),
             ((True,), {}, TypeError),
             ((0,), {True: 1}, TypeError),
+            ((0,), {"B": 2}, UnknownVariable),
+            ((0,), {"B": -1}, UnknownVariable),
         ],
     )
     def test_variable_indices_are_range_checked(
@@ -352,9 +357,9 @@ class TestSerialization:
         assert net.to_json() == f'{{\n  "dag": {dag},\n  "cpds": {{\n{cpds}\n  }}\n}}\n'
 
     def test_cpd_to_factor_scope(self, confounded_net):
-        f = cpd_to_factor(confounded_net, "Y")
-        assert f.variables == (0, 1, 2)
-        assert f.values.shape == (2, 2, 2)
+        y = confounded_net.scheme.index("Y")
+        assert confounded_net.scopes[y] == (0, 1, 2)
+        assert confounded_net.tables[y].shape == (2, 2, 2)
 
     def test_tables_are_cpd_views_with_one_axis_per_scope_variable(self):
         net = reference_network(7)

@@ -14,6 +14,7 @@ import causalkit
 from causalkit import nsclc
 from causalkit.cli import dispatch
 from causalkit.graph import Dag, Pdag, parse_graph_json, serialize_graph
+from causalkit.llm import render_single_prompt
 from causalkit.synth import reference_network, sample_from_network
 
 from conftest import binary_scheme
@@ -297,6 +298,13 @@ class TestExitCodes:
             "scheme-states-a-string",
             "scheme-states-not-strings",
             "scheme-name-not-a-string",
+            "scheme-repeated-state",
+            "csv-repeated-column",
+            "network-table-1-d",
+            "network-table-wrong-shape",
+            "replay-completion-a-number",
+            "replay-completion-null",
+            "replay-prompt-a-number",
         ],
     )
     def test_data_error_names_its_file(self, workdir, capsys, case):
@@ -324,6 +332,16 @@ class TestExitCodes:
         def scheme(a_name, a_states, b_states):
             variables = [{"name": a_name, "states": a_states}]
             return {"variables": variables + [{"name": "B", "states": b_states}]}
+
+        ab_scheme = workdir / "ab_scheme.json"
+        ab_scheme.write_text(json.dumps(scheme("A", ["x", "y"], ["0", "1"])))
+        elicit = [
+            "elicit", "--strategy", "single", "--replay-file", str(bad),
+            "--out-graph", str(out),
+        ]
+        single = render_single_prompt(nsclc.SCHEME)
+        not_a_replay = "line 1: not a JSON object with prompt and completion strings"
+        repeated_state = "variable 'A' repeats a state"
 
         def not_strings(variable):
             exc = TypeError(
@@ -415,8 +433,38 @@ class TestExitCodes:
             "scheme-name-not-a-string": (
                 scheme(5, ["x", "y"], ["1", "2"]), ingest, not_strings("5")
             ),
+            "scheme-repeated-state": (
+                scheme("A", ["x", "x"], ["0", "1"]),
+                ingest,
+                "not a variable list of name/states objects "
+                f"({ValueError(repeated_state)!r})",
+            ),
+            "csv-repeated-column": (
+                "A,B,A\nx,0,y\n",
+                ["--scheme", str(ab_scheme), "ingest", "--csv", str(bad), "--out", str(out)],
+                "repeated columns: ['A']",
+            ),
+            "network-table-1-d": (
+                with_cpd("X0", [0.5, 0.5]), sample, "CPD table must be 2-D"
+            ),
+            "network-table-wrong-shape": (
+                with_cpd("X0", [[0.25, 0.25, 0.5]]),
+                sample,
+                "CPD for X0 has shape (1, 3), expected (1, 2)",
+            ),
+            "replay-completion-a-number": (
+                {"prompt": single, "completion": 5}, elicit, not_a_replay
+            ),
+            "replay-completion-null": (
+                {"prompt": single, "completion": None}, elicit, not_a_replay
+            ),
+            "replay-prompt-a-number": (
+                {"prompt": 5, "completion": "AGE can affect the SMOKING."},
+                elicit,
+                not_a_replay,
+            ),
         }[case]
-        bad.write_text(json.dumps(content))
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
         assert dispatch(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and len(err.splitlines()) == 1

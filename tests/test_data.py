@@ -43,6 +43,11 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatch):
             load_csv("A,B,C\nlo,x,1\n", AB)
 
+    def test_blank_line_is_skipped(self):
+        data, dropped = load_csv("A,B\nlo,x\n\nhi,z\n", AB)
+        assert dropped == 0
+        assert data.rows.tolist() == [[0, 0], [1, 2]]
+
     def test_missing_column_rejected(self):
         with pytest.raises(SchemaMismatch):
             load_csv("A\nlo\n", AB)
@@ -85,6 +90,11 @@ class TestLoadCsv:
         scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])
         data, _ = load_csv("AGE\n40\n65\n74.9\n75\n90\n", scheme)
         assert data.column("AGE").tolist() == [0, 1, 1, 2, 2]
+
+    def test_bin_beyond_the_cardinality_rejected(self):
+        scheme = VariableScheme.of([("AGE", ("young", "old"))])
+        with pytest.raises(SchemaMismatch, match="AGE: bin spec yields 2, cardinality 2"):
+            load_csv("AGE\n80\n", scheme)
 
     def test_prebinned_label_accepted_for_numeric_column(self):
         scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])

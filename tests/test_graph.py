@@ -278,6 +278,10 @@ class TestPdag:
         with pytest.raises(SchemaMismatch, match=r"undirected edge \[0\]"):
             parse_graph_json(json.dumps(payload))
 
+    def test_directed_self_loop_rejected(self):
+        with pytest.raises(CycleError, match="self-loop on X1"):
+            Pdag(binary_scheme(2), directed=frozenset({(1, 1)}))
+
     def test_double_orientation_rejected(self):
         s = binary_scheme(2)
         with pytest.raises(ValueError):

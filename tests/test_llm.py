@@ -67,22 +67,18 @@ class TestParseVerdict:
         "cause,effect,completion,expected", fixtures.PAIRWISE_FIXTURES
     )
     def test_recorded_fixtures(self, cause, effect, completion, expected):
-        verdict = parse_verdict(completion, cause, effect)
-        assert verdict.verdict == expected
-        assert verdict.cause == cause and verdict.effect == effect
+        assert parse_verdict(completion) == expected
 
     def test_leading_yes(self):
-        assert parse_verdict("Yes, it does.", "A", "B").verdict == "yes"
-        assert parse_verdict("Yes it can.", "A", "B").verdict == "yes"
+        assert parse_verdict("Yes, it does.") == "yes"
+        assert parse_verdict("Yes it can.") == "yes"
 
     def test_negation_beats_later_affirmation(self):
         text = "They do not have a direct cause, though age can have an impact on it."
-        assert parse_verdict(text, "A", "B").verdict == "no"
+        assert parse_verdict(text) == "no"
 
     def test_uncertain_fallback(self):
-        verdict = parse_verdict("It is hard to say.", "A", "B")
-        assert verdict.verdict == "uncertain"
-        assert verdict.matched is None
+        assert parse_verdict("It is hard to say.") == "uncertain"
 
 
 class TestAdjacencyParser:
@@ -143,6 +139,39 @@ class TestAdjacencyParser:
         assert (chest, stage) in dag.edges
         assert (stage, plan) in dag.edges
         assert (chest, plan) not in dag.edges
+
+    def test_overlapping_markers_count_once(self):
+        # Two spaces defeat the lone marker's "turn " lookbehind, so
+        # "influences" also matches inside the chain marker.
+        text = "CHESTPAIN can indicate the STAGEGROUP, which in turn  influences the TREATMENTPLAN."
+        dag, unparsed = parse_adjacency_response(text, SCHEME)
+        chest, stage, plan = map(
+            SCHEME.index, ("CHESTPAIN", "STAGEGROUP", "TREATMENTPLAN")
+        )
+        assert dag.edges == {(chest, stage), (stage, plan)}
+        assert unparsed == []
+
+    @pytest.mark.parametrize(
+        "text,edges",
+        [
+            ("SMOKING can affect the stage of the disease.", set()),
+            (
+                "SMOKING can affect the average SURVIVALMONTHS.",
+                {("SMOKING", "SURVIVALMONTHS")},
+            ),
+            ("SMOKING can affect metastasis.", set()),
+            ("SMOKING can affect the interpretation of AGE.", {("SMOKING", "AGE")}),
+        ],
+        ids=["stage", "average", "metastasis", "interpretation"],
+    )
+    def test_aliases_match_whole_words_only(self, text, edges):
+        dag, _ = parse_adjacency_response(text, SCHEME)
+        assert {(SCHEME.names[u], SCHEME.names[v]) for u, v in dag.edges} == edges
+
+    def test_name_with_non_word_ends_matches(self):
+        scheme = VariableScheme.of([("SMOKING", ("a", "b")), ("+STAGE+", ("a", "b"))])
+        dag, _ = parse_adjacency_response("SMOKING can affect the +stage+.", scheme)
+        assert dag.edges == {(0, 1)}
 
 
 class TestReplayBackend:

@@ -195,6 +195,12 @@ class TestTotals:
             assert warm.per_node == fresh.per_node
             assert warm.total == fresh.total
 
+    def test_dag_and_data_over_two_schemes_rejected(self):
+        dag, data = self._random_case(0)
+        other = VariableScheme.of([(f"Y{i}", ("0", "1")) for i in range(len(dag.scheme))])
+        with pytest.raises(ValueError, match="different schemes"):
+            bdeu_total(Dag(other), data, 5.0)
+
     def test_unknown_variant_rejected(self):
         dag, data = self._random_case(0)
         with pytest.raises(ValueError):
