@@ -14,7 +14,7 @@ from .errors import (
     EmptyDataset,
     SchemaMismatch,
 )
-from .graph import VariableScheme
+from .graph import VariableScheme, is_missing
 from .nsclc import NUMERIC_BINS
 
 
@@ -149,7 +149,7 @@ def load_csv(source, scheme: VariableScheme):
 
 def _encode_cell(cell, name, scheme):
     """The state of a stripped cell, or None when it is missing."""
-    if cell == "" or cell.upper() in ("NA", "NAN"):
+    if is_missing(cell):
         return None
     if name in NUMERIC_BINS:
         try:

@@ -16,6 +16,12 @@ from dataclasses import dataclass, field
 from .errors import CycleError, SchemaMismatch, UnknownVariable
 
 
+def is_missing(text: str) -> bool:
+    """Whether a stripped CSV cell is a missing value: empty, NA or NaN in
+    any case.  No state may be labelled so, since it could not be read back."""
+    return text.upper() in ("", "NA", "NAN")
+
+
 @dataclass(frozen=True)
 class VariableScheme:
     """Ordered list of named categorical variables with ordered state labels."""
@@ -34,6 +40,12 @@ class VariableScheme:
                 raise ValueError(f"variable {name!r} needs at least 2 states")
             if len(set(states)) != len(states):
                 raise ValueError(f"variable {name!r} repeats a state")
+            for state in states:
+                if is_missing(state):
+                    raise ValueError(
+                        f"variable {name!r} has state {state!r}, which CSV "
+                        "reading takes for a missing value"
+                    )
         # Derived once, since names is read inside per-variable loops.
         object.__setattr__(self, "names", tuple(names))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})

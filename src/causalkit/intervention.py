@@ -11,7 +11,7 @@ import numpy as np
 
 from .bayesnet import BayesianNetwork, Cpd, variable_elimination
 from .data import text_table
-from .errors import UnknownState, UnknownVariable
+from .errors import UnknownState, UnknownVariable, ZeroEvidenceProbability
 from .graph import Dag
 
 TREATMENT_ROWS = ("Chemotherapy", "Targeted Therapy", "Immunotherapy")
@@ -43,49 +43,84 @@ class InterventionQuery:
             raise UnknownState(f"outcome_values missing states {sorted(missing)}")
 
 
+def _cut(net: BayesianNetwork, node: str, prior: np.ndarray) -> BayesianNetwork:
+    """`net` with the incoming edges of `node` severed and `prior`, one
+    probability per state, as its root CPD."""
+    idx = net.scheme.index(node)
+    dag = Dag(net.scheme, frozenset(e for e in net.dag.edges if e[1] != idx))
+    return BayesianNetwork(dag, {**net.cpds, node: Cpd(node, (), prior[None, :])})
+
+
 def apply_do(net: BayesianNetwork, node: str, state: str) -> BayesianNetwork:
     """Graph surgery for do(node=state): sever incoming edges, point-mass CPD."""
-    scheme = net.scheme
-    idx = scheme.index(node)
-    state_idx = scheme.state_index(node, state)
-    dag = Dag(
-        scheme,
-        frozenset(e for e in net.dag.edges if e[1] != idx),
+    point = np.zeros(net.scheme.cardinality(node))
+    point[net.scheme.state_index(node, state)] = 1.0
+    return _cut(net, node, point)
+
+
+def _randomized(net: BayesianNetwork, node: str) -> BayesianNetwork:
+    """`net` with `node` cut from its parents and given the uniform prior, as
+    if assigned at random.  For a power-of-two cardinality, such as
+    TREATMENTPLAN's 4, scaling by 1/card is exact, so arms that cannot move
+    the outcome come out bit-equal."""
+    card = net.scheme.cardinality(node)
+    return _cut(net, node, np.full(card, 1.0 / card))
+
+
+def _arms(
+    net: BayesianNetwork, treatment: str, outcome: str, evidence, values, infer
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E[v(outcome) | do(t), evidence], evidence mass) for every state t of
+    `treatment`, in scheme order, from one query on `net`, a network in which
+    `treatment` is already randomized.
+
+    With the incoming edges cut and a prior of full support, P(outcome |
+    treatment = t, evidence) there equals P(outcome | do(t), evidence), so
+    each row of the posterior over (treatment, outcome) is divided by its own
+    mass.  A row of mass 0, an arm under which the evidence is impossible,
+    is left NaN for the caller to reject if it uses that arm.
+    """
+    joint = infer(net, (treatment, outcome), dict(evidence))
+    mass = joint.sum(axis=1)
+    posterior = np.divide(
+        joint, mass[:, None], out=np.full_like(joint, np.nan), where=mass[:, None] > 0
     )
-    point = np.zeros((1, scheme.cardinality(node)))
-    point[0, state_idx] = 1.0
-    cpds = dict(net.cpds)
-    cpds[node] = Cpd(node, (), point)
-    return BayesianNetwork(dag, cpds)
+    return posterior @ values, mass
 
 
-def _expected_outcome(
-    mutilated: BayesianNetwork, outcome: str, evidence, values, infer
-) -> float:
-    """E[v(outcome) | evidence] on a mutilated network; `values` holds v per
-    outcome state, in scheme order."""
-    posterior = infer(mutilated, (outcome,), dict(evidence))
-    return float(posterior @ values)
+def _check_mass(mass, scheme, treatment, arms) -> None:
+    """Raise ZeroEvidenceProbability unless every arm used, by state index,
+    gives the evidence positive mass."""
+    for arm in arms:
+        if not mass[arm] > 0:
+            raise ZeroEvidenceProbability(
+                "evidence has probability zero under "
+                f"do({treatment}={scheme.states(treatment)[arm]})"
+            )
 
 
 def ate(net: BayesianNetwork, q: InterventionQuery, infer=variable_elimination) -> float:
     """E[v(outcome) | do(treated), evidence] - same under do(control).
 
-    Evidence is conditioned after surgery on each mutilated network; both
-    arms share identical evidence.  `infer` is swappable for the brute-force
-    oracle in tests.
+    Both arms come from one query on the network with the treatment
+    randomized (see `_arms`); evidence is conditioned after surgery, the
+    same evidence in each arm.  `infer` is swappable for the brute-force
+    oracle in tests.  ZeroEvidenceProbability is raised when the evidence is
+    impossible under either arm.
     """
     q.validate(net)
     if q.treated_state == q.control_state:
         return 0.0
-    values = np.array([q.outcome_values[s] for s in net.scheme.states(q.outcome)])
+    scheme = net.scheme
+    values = np.array([q.outcome_values[s] for s in scheme.states(q.outcome)])
     treated, control = (
-        _expected_outcome(
-            apply_do(net, q.treatment, state), q.outcome, q.evidence, values, infer
-        )
-        for state in (q.treated_state, q.control_state)
+        scheme.state_index(q.treatment, s) for s in (q.treated_state, q.control_state)
     )
-    return treated - control
+    expected, mass = _arms(
+        _randomized(net, q.treatment), q.treatment, q.outcome, q.evidence, values, infer
+    )
+    _check_mass(mass, scheme, q.treatment, (treated, control))
+    return float(expected[treated] - expected[control])
 
 
 @dataclass(frozen=True)
@@ -116,18 +151,21 @@ def ate_grid(net: BayesianNetwork) -> AteGrid:
     do(TREATMENTPLAN = Unknown) given each mutation gene in its last state,
     on the indicator of the most favorable SURVIVALMONTHS bin.
 
-    Each arm's mutilated network is built once and queried once per gene;
-    all rows share the control arm.
+    TREATMENTPLAN is randomized once, and one query per gene answers every
+    arm (see `_arms`), so a cell equals the `ate` of its query exactly.
     """
     scheme = net.scheme
     values = np.array([0.0] * (scheme.cardinality(OUTCOME) - 1) + [1.0])
-    evidence = [{gene: scheme.states(gene)[-1]} for gene in MUTATION_COLUMNS]
-    expected = {}
-    for arm in (*TREATMENT_ROWS, CONTROL_STATE):
-        mutilated = apply_do(net, TREATMENT_VARIABLE, arm)
-        expected[arm] = np.array([
-            _expected_outcome(mutilated, OUTCOME, e, values, variable_elimination)
-            for e in evidence
-        ])
-    cells = np.array([expected[t] - expected[CONTROL_STATE] for t in TREATMENT_ROWS])
-    return AteGrid(TREATMENT_ROWS, MUTATION_COLUMNS, cells)
+    randomized = _randomized(net, TREATMENT_VARIABLE)
+    rows = [scheme.state_index(TREATMENT_VARIABLE, t) for t in TREATMENT_ROWS]
+    control = scheme.state_index(TREATMENT_VARIABLE, CONTROL_STATE)
+    columns = []
+    for gene in MUTATION_COLUMNS:
+        evidence = {gene: scheme.states(gene)[-1]}
+        expected, mass = _arms(
+            randomized, TREATMENT_VARIABLE, OUTCOME, evidence, values,
+            variable_elimination,
+        )
+        _check_mass(mass, scheme, TREATMENT_VARIABLE, (*rows, control))
+        columns.append(expected[rows] - expected[control])
+    return AteGrid(TREATMENT_ROWS, MUTATION_COLUMNS, np.stack(columns, axis=1))

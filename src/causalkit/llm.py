@@ -36,8 +36,12 @@ class ReplayBackend:
 
     @classmethod
     def parse_jsonl(cls, text: str) -> "ReplayBackend":
-        """Backend from JSON lines of {"prompt": ..., "completion": ...} strings."""
-        exchanges = {}
+        """Backend from JSON lines of {"prompt": ..., "completion": ...} strings.
+
+        A prompt may repeat only with the same completion, since a replay
+        can give it just one.
+        """
+        exchanges, first_line = {}, {}
         for number, line in enumerate(text.split("\n"), 1):
             if line.strip():
                 try:
@@ -45,12 +49,17 @@ class ReplayBackend:
                     prompt, completion = record["prompt"], record["completion"]
                     if not (isinstance(prompt, str) and isinstance(completion, str)):
                         raise TypeError
-                    exchanges[prompt] = completion
                 except (ValueError, KeyError, TypeError):
                     raise SchemaMismatch(
                         f"line {number}: not a JSON object with prompt and "
                         "completion strings"
                     ) from None
+                if exchanges.setdefault(prompt, completion) != completion:
+                    raise SchemaMismatch(
+                        f"lines {first_line[prompt]} and {number}: one prompt "
+                        "with two different completions"
+                    )
+                first_line.setdefault(prompt, number)
         return cls(exchanges)
 
     def send(self, prompt: str) -> str:

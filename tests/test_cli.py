@@ -299,12 +299,14 @@ class TestExitCodes:
             "scheme-states-not-strings",
             "scheme-name-not-a-string",
             "scheme-repeated-state",
+            "scheme-state-read-as-missing",
             "csv-repeated-column",
             "network-table-1-d",
             "network-table-wrong-shape",
             "replay-completion-a-number",
             "replay-completion-null",
             "replay-prompt-a-number",
+            "replay-prompt-with-two-completions",
         ],
     )
     def test_data_error_names_its_file(self, workdir, capsys, case):
@@ -342,6 +344,9 @@ class TestExitCodes:
         single = render_single_prompt(nsclc.SCHEME)
         not_a_replay = "line 1: not a JSON object with prompt and completion strings"
         repeated_state = "variable 'A' repeats a state"
+        read_as_missing = (
+            "variable 'A' has state 'NA', which CSV reading takes for a missing value"
+        )
 
         def not_strings(variable):
             exc = TypeError(
@@ -439,6 +444,12 @@ class TestExitCodes:
                 "not a variable list of name/states objects "
                 f"({ValueError(repeated_state)!r})",
             ),
+            "scheme-state-read-as-missing": (
+                scheme("A", ["NA", "x"], ["0", "1"]),
+                ingest,
+                "not a variable list of name/states objects "
+                f"({ValueError(read_as_missing)!r})",
+            ),
             "csv-repeated-column": (
                 "A,B,A\nx,0,y\n",
                 ["--scheme", str(ab_scheme), "ingest", "--csv", str(bad), "--out", str(out)],
@@ -462,6 +473,14 @@ class TestExitCodes:
                 {"prompt": 5, "completion": "AGE can affect the SMOKING."},
                 elicit,
                 not_a_replay,
+            ),
+            "replay-prompt-with-two-completions": (
+                "".join(
+                    json.dumps({"prompt": single, "completion": c}) + "\n"
+                    for c in ("AGE can affect the SMOKING.", "none")
+                ),
+                elicit,
+                "lines 1 and 2: one prompt with two different completions",
             ),
         }[case]
         bad.write_text(content if isinstance(content, str) else json.dumps(content))

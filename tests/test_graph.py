@@ -45,6 +45,13 @@ class TestScheme:
         with pytest.raises(ValueError):
             VariableScheme.of([("A", ("only",))])
 
+    @pytest.mark.parametrize("label", ["", "NA", "na", "NaN", "nan", "nAn"])
+    def test_state_read_as_missing_rejected(self, label):
+        # CSV reading takes these cells for missing values, so a state so
+        # labelled could never be read back.
+        with pytest.raises(ValueError, match="missing value"):
+            VariableScheme.of([("A", (label, "x"))])
+
     def test_lookup(self):
         s = binary_scheme(3)
         assert s.index("X2") == 2

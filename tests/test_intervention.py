@@ -1,9 +1,19 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
 
 from causalkit import intervention, nsclc
-from causalkit.bayesnet import brute_force_query, fit_cpds
-from causalkit.errors import UnknownState, UnknownVariable
+from causalkit.bayesnet import (
+    BayesianNetwork,
+    Cpd,
+    brute_force_query,
+    fit_cpds,
+    variable_elimination,
+)
+from causalkit.errors import UnknownState, UnknownVariable, ZeroEvidenceProbability
+from causalkit.graph import Dag, VariableScheme
 from causalkit.intervention import (
     MUTATION_COLUMNS,
     TREATMENT_ROWS,
@@ -15,6 +25,7 @@ from causalkit.intervention import (
 from causalkit.synth import (
     CohortSpec,
     generate_cohort,
+    random_network,
     reference_network,
     sample_from_network,
 )
@@ -46,6 +57,58 @@ def binary_query(treated="1", control="0", evidence=None):
         outcome_values={"0": 0.0, "1": 1.0},
         evidence=evidence or {},
     )
+
+
+def per_arm_ate(net, q):
+    """The ATE as the difference of two mutilated networks, each queried on
+    the outcome alone: the definition that `ate`'s single query on the
+    randomized network must reproduce."""
+    values = np.array([q.outcome_values[s] for s in net.scheme.states(q.outcome)])
+
+    def expected(state):
+        mutilated = apply_do(net, q.treatment, state)
+        return float(variable_elimination(mutilated, (q.outcome,), q.evidence) @ values)
+
+    return expected(q.treated_state) - expected(q.control_state)
+
+
+def seeded_queries(net, treatment, outcome, seed, count):
+    """`count` queries with distinct arms, a random valuation of the outcome
+    and 0-3 evidence variables in random states."""
+    rng = random.Random(seed)
+    scheme = net.scheme
+    others = [n for n in scheme.names if n not in (treatment, outcome)]
+    for _ in range(count):
+        treated, control = rng.sample(scheme.states(treatment), 2)
+        evidence_vars = rng.sample(others, min(rng.randint(0, 3), len(others)))
+        yield InterventionQuery(
+            treatment,
+            treated,
+            control,
+            outcome,
+            {s: rng.uniform(-1.0, 1.0) for s in scheme.states(outcome)},
+            {v: rng.choice(scheme.states(v)) for v in evidence_vars},
+        )
+
+
+@pytest.fixture
+def blocked_net():
+    """M -> T, M -> Y, T -> Y, T -> E, where E = 1 is impossible under T = t2."""
+    scheme = VariableScheme.of([
+        ("M", ("0", "1")),
+        ("T", ("t0", "t1", "t2")),
+        ("Y", ("0", "1")),
+        ("E", ("0", "1")),
+    ])
+    dag = Dag.from_names(scheme, [("M", "T"), ("M", "Y"), ("T", "Y"), ("T", "E")])
+    return BayesianNetwork(dag, {
+        "M": Cpd("M", (), np.array([[0.6, 0.4]])),
+        "T": Cpd("T", ("M",), np.array([[0.5, 0.3, 0.2], [0.1, 0.3, 0.6]])),
+        "Y": Cpd("Y", ("M", "T"), np.array(
+            [[0.9, 0.1], [0.7, 0.3], [0.5, 0.5], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]]
+        )),
+        "E": Cpd("E", ("T",), np.array([[0.5, 0.5], [0.2, 0.8], [1.0, 0.0]])),
+    })
 
 
 class TestApplyDo:
@@ -102,6 +165,50 @@ class TestAte:
         q = binary_query(evidence={"M": "1"})
         expected = 0.8 - 0.4  # P(Y=1|M=1,T=1) - P(Y=1|M=1,T=0)
         assert ate(confounded_net, q) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "treatment, outcome",
+        [("TREATMENTPLAN", "SURVIVALMONTHS"), ("SMOKING", "EGFR")],
+    )
+    def test_one_query_matches_per_arm_networks(self, seed, treatment, outcome):
+        net = random_network(nsclc.v5_dag(), seed)
+        for q in seeded_queries(net, treatment, outcome, seed, 3):
+            value = ate(net, q)
+            assert value == pytest.approx(per_arm_ate(net, q), abs=1e-12)
+            assert value == pytest.approx(ate(net, q, infer=brute_force_query), abs=1e-9)
+
+    def test_one_query_matches_per_arm_networks_on_fixtures(
+        self, chain_net, confounded_net
+    ):
+        cases = [
+            (chain_net, "A", "B"), (chain_net, "B", "A"), (confounded_net, "T", "Y")
+        ]
+        for seed, (net, treatment, outcome) in enumerate(cases):
+            for q in seeded_queries(net, treatment, outcome, seed, 6):
+                value = ate(net, q)
+                assert value == pytest.approx(per_arm_ate(net, q), abs=1e-12)
+                assert value == pytest.approx(
+                    ate(net, q, infer=brute_force_query), abs=1e-9
+                )
+
+    def test_evidence_impossible_under_one_arm(self, blocked_net):
+        def query(treated, control):
+            return InterventionQuery(
+                "T", treated, control, "Y", {"0": 0.0, "1": 1.0}, {"E": "1"}
+            )
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for treated, control in ("t2", "t0"), ("t1", "t2"):
+                with pytest.raises(ZeroEvidenceProbability, match="do\\(T=t2\\)"):
+                    ate(blocked_net, query(treated, control))
+            q = query("t0", "t1")
+            value = ate(blocked_net, q)
+        assert value == pytest.approx(per_arm_ate(blocked_net, q), abs=1e-12)
+        assert value == pytest.approx(
+            ate(blocked_net, q, infer=brute_force_query), abs=1e-12
+        )
 
     def test_validation(self, confounded_net):
         bad_outcome = InterventionQuery(
@@ -169,8 +276,8 @@ class TestAteGrid:
         # In V1, TREATMENTPLAN has no children, so no arm moves the outcome.
         assert (grid.cells == 0).all()
 
-    def test_grid_builds_one_mutilated_network_per_arm(self, monkeypatch):
-        calls = {"apply_do": 0, "variable_elimination": 0}
+    def test_grid_cuts_once_and_queries_once_per_gene(self, monkeypatch):
+        calls = {"_cut": 0, "variable_elimination": 0}
         for name in calls:
             original = getattr(intervention, name)
 
@@ -180,7 +287,19 @@ class TestAteGrid:
 
             monkeypatch.setattr(intervention, name, counted)
         ate_grid(reference_network())
-        assert calls == {"apply_do": 4, "variable_elimination": 32}
+        assert calls == {"_cut": 1, "variable_elimination": 8}
+
+    def test_grid_rejects_evidence_impossible_under_an_arm(self):
+        # KRAS = Present cannot occur under Immunotherapy, the last state.
+        dag = Dag.from_names(
+            nsclc.SCHEME,
+            [("TREATMENTPLAN", "SURVIVALMONTHS"), ("TREATMENTPLAN", "KRAS")],
+        )
+        net = random_network(dag, 7)
+        table = np.array([[0.4, 0.6], [0.5, 0.5], [0.7, 0.3], [1.0, 0.0]])
+        cpds = {**net.cpds, "KRAS": Cpd("KRAS", ("TREATMENTPLAN",), table)}
+        with pytest.raises(ZeroEvidenceProbability, match="Immunotherapy"):
+            ate_grid(BayesianNetwork(dag, cpds))
 
     @pytest.mark.parametrize("label", sorted(PINNED_GRID_TEXT))
     def test_grid_text_is_pinned(self, label):

@@ -194,6 +194,20 @@ class TestReplayBackend:
         with pytest.raises(SchemaMismatch, match="^line 3: "):
             ReplayBackend.parse_jsonl(text)
 
+    def test_prompt_with_two_completions_rejected_naming_both_lines(self):
+        text = "\n".join([
+            '{"prompt": "p", "completion": "a"}',
+            '{"prompt": "q", "completion": "c"}',
+            '{"prompt": "p", "completion": "a"}',
+            '{"prompt": "p", "completion": "b"}',
+        ])
+        with pytest.raises(SchemaMismatch, match="^lines 1 and 4: "):
+            ReplayBackend.parse_jsonl(text)
+
+    def test_exact_repeat_accepted(self):
+        line = '{"prompt": "p", "completion": "a"}\n'
+        assert ReplayBackend.parse_jsonl(line * 2).send("p") == "a"
+
     def test_bundled_map_holds_exactly_the_prompts_sent(self):
         exchanges = fixtures.replay_backend()._exchanges
         _, pairwise = elicit_graph("pairwise", SCHEME, fixtures.replay_backend())
