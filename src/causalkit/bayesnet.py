@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CategoricalDataset, contingency_counts
+from .data import CategoricalDataset, contingency_counts, row_sums
 from .errors import (
     CardinalityMismatch,
     SchemaMismatch,
@@ -51,9 +51,16 @@ class Cpd:
         object.__setattr__(self, "table", table)
         if table.ndim != 2:
             raise CardinalityMismatch("CPD table must be 2-D")
+        # One pass decides: a NaN or negative cell fails the min, an infinite
+        # cell its row sum.  Only a table that fails is scanned again, for the
+        # message; the sums of such a table may overflow or meet inf - inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviation = np.abs(row_sums(table) - 1.0)
+        if table.size and table.min() >= 0 and deviation.max() <= 1e-9:
+            return
         if not np.isfinite(table).all():
             raise CardinalityMismatch(f"CPD table for {self.child} is not finite")
-        if (table < 0).any() or np.abs(table.sum(axis=1) - 1.0).max() > 1e-9:
+        if (table < 0).any() or deviation.max() > 1e-9:
             raise CardinalityMismatch(f"CPD rows for {self.child} not normalized")
 
 
@@ -173,7 +180,9 @@ def fit_cpds(
         counts = contingency_counts(data, name, parents)
         a_i = prior_ess / counts.n_configs
         a_ij = a_i / counts.child_card
-        table = (counts.n_ij + a_ij) / (counts.n_i + a_i)[:, None]
+        # In place: the same IEEE operations without a broadcast temporary.
+        table = counts.n_ij + a_ij
+        table /= (counts.n_i + a_i)[:, None]
         cpds[name] = Cpd(name, parents, table)
     return BayesianNetwork(dag, cpds)
 

@@ -36,6 +36,11 @@ class VariableScheme:
         for name, states in self.variables:
             if not name:
                 raise ValueError("variable names must be nonempty")
+            if name != name.strip():
+                raise ValueError(
+                    f"variable {name!r} has surrounding whitespace, which CSV "
+                    "reading strips"
+                )
             if len(states) < 2:
                 raise ValueError(f"variable {name!r} needs at least 2 states")
             if len(set(states)) != len(states):
@@ -45,6 +50,11 @@ class VariableScheme:
                     raise ValueError(
                         f"variable {name!r} has state {state!r}, which CSV "
                         "reading takes for a missing value"
+                    )
+                if state != state.strip():
+                    raise ValueError(
+                        f"variable {name!r} has state {state!r}, whose "
+                        "surrounding whitespace CSV reading strips"
                     )
         # Derived once, since names is read inside per-variable loops.
         object.__setattr__(self, "names", tuple(names))

@@ -13,7 +13,6 @@ from .data import CategoricalDataset, CountTable, contingency_counts, text_table
 from .graph import Dag
 
 VARIANTS = ("paper", "canonical")
-_lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -50,13 +49,21 @@ def bdeu_family_canonical(counts: CountTable, alpha: float) -> float:
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    n_i, n_ij, m = counts.histogram
+    m = counts.histogram[2]
     r = counts.child_card
     a_i = alpha / counts.n_configs
     a_ij = a_i / r
-    cells = m * (_lgamma(a_ij + n_ij).astype(float) - math.lgamma(a_ij))
-    configs = m / r * (_lgamma(a_i + n_i).astype(float) - math.lgamma(a_i))
+    n_i, n_ij = counts.distinct
+    cells = m * (_lgamma_at(a_ij, n_ij) - math.lgamma(a_ij))
+    configs = m / r * (_lgamma_at(a_i, n_i) - math.lgamma(a_i))
     return math.fsum((cells - configs).tolist())
+
+
+def _lgamma_at(a: float, level) -> np.ndarray:
+    """lgamma(a + k) for each histogram row's count k, from one math.lgamma
+    call per distinct count."""
+    values, index = level
+    return np.array([math.lgamma(a + k) for k in values.tolist()])[index]
 
 
 _FAMILY = {"paper": bdeu_family_paper, "canonical": bdeu_family_canonical}

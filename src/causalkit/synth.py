@@ -8,6 +8,7 @@ across platforms for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,15 @@ def generate_cohort(
 
 
 def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """State per uniform draw u; the last cumulative sum is left out so that a
-    row summing to just under 1 cannot yield a state equal to the cardinality."""
-    return (probs.cumsum(axis=-1)[..., :-1] < u[:, None]).sum(axis=1)
+    """State per uniform draw u: how many of the row's cumulative sums lie
+    below u.  The sums are cumsum's own, kept column by column rather than
+    in numpy's loop per row.  The last one is left out so that a row summing
+    to just under 1 cannot yield a state equal to the cardinality."""
+    states = np.zeros(u.shape, dtype=np.int64)
+    columns = (probs[..., j] for j in range(probs.shape[-1] - 1))
+    for running in itertools.accumulate(columns):
+        states += running < u
+    return states
 
 
 def random_network(dag: Dag, seed: int, concentration: float = 1.0) -> BayesianNetwork:

@@ -41,18 +41,90 @@ def random_dag(scheme, rng, n_edges):
     return dag
 
 
+def per_row_check(child, table):
+    """The CPD check as numpy's per-row reduction states it: the reference
+    that Cpd must agree with, exception type and message included."""
+    table = np.asarray(table, dtype=float)
+    if not np.isfinite(table).all():
+        raise CardinalityMismatch(f"CPD table for {child} is not finite")
+    if (table < 0).any() or np.abs(table.sum(axis=1) - 1.0).max() > 1e-9:
+        raise CardinalityMismatch(f"CPD rows for {child} not normalized")
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def tall(card, rows=5000, seed=0):
+    return np.random.default_rng(seed).dirichlet([0.5] * card, size=rows)
+
+
+NOT_FINITE = (CardinalityMismatch, "CPD table for A is not finite")
+NOT_NORMALIZED = (CardinalityMismatch, "CPD rows for A not normalized")
+
+
 class TestCpd:
-    def test_rows_must_normalize(self):
-        with pytest.raises(CardinalityMismatch):
-            Cpd("A", (), np.array([[0.5, 0.6]]))
+    @pytest.mark.parametrize(
+        "table, expected",
+        [
+            pytest.param([[np.nan, 0.5]], NOT_FINITE, id="nan"),
+            pytest.param([[0.2, np.inf, 0.3]], NOT_FINITE, id="inf"),
+            pytest.param([[0.2, -np.inf, 0.3]], NOT_FINITE, id="minus-inf"),
+            pytest.param(
+                [[0.5, 0.5], [np.inf, -np.inf]], NOT_FINITE, id="inf-minus-inf"
+            ),
+            pytest.param([[0.5, 0.6]], NOT_NORMALIZED, id="sum-1.1"),
+            pytest.param([[-0.1, 1.1]], NOT_NORMALIZED, id="negative"),
+            pytest.param([[0.5, 0.5], [1.0, -0.0]], None, id="minus-zero"),
+            pytest.param([[0.5, 0.5 + 2e-9]], NOT_NORMALIZED, id="sum-1+2e-9"),
+            pytest.param([[0.5, 0.5 - 2e-9]], NOT_NORMALIZED, id="sum-1-2e-9"),
+            pytest.param([[0.5, 0.5 + 5e-10]], None, id="sum-1+5e-10"),
+            pytest.param([[0.5, 0.5 - 5e-10]], None, id="sum-1-5e-10"),
+            pytest.param([[1e308, 1e308, -1e308]], NOT_NORMALIZED, id="sum-overflows"),
+            pytest.param(np.empty((1, 0)), NOT_NORMALIZED, id="1x0"),
+            pytest.param([[1.0]], None, id="1x1"),
+            pytest.param([[1 / 8] * 8], None, id="8-states"),
+            pytest.param(
+                [[1 / 8] * 7 + [1 / 8 + 2e-9]], NOT_NORMALIZED, id="8-states-off"
+            ),
+            pytest.param([[0.1] * 10], None, id="10-states"),
+            pytest.param(tall(3), None, id="tall"),
+            pytest.param(np.asfortranarray(tall(4)), None, id="tall-fortran-order"),
+            pytest.param(
+                np.vstack([tall(3), [[0.5, 0.5, 2e-9]]]), NOT_NORMALIZED, id="tall-off"
+            ),
+            pytest.param(
+                np.vstack([tall(3), [[0.5, 0.5, np.nan]]]), NOT_FINITE, id="tall-nan"
+            ),
+        ],
+    )
+    def test_accepts_and_rejects_as_the_per_row_check(self, table, expected):
+        assert outcome(Cpd, "A", (), table) == expected
+        assert outcome(per_row_check, "A", table) == expected
 
-    def test_negative_rejected(self):
-        with pytest.raises(CardinalityMismatch):
-            Cpd("A", (), np.array([[-0.1, 1.1]]))
+    def test_empty_table_fails_as_the_per_row_check(self):
+        # numpy's max of no row sums raises; the check keeps that failure.
+        expected = outcome(per_row_check, "A", np.empty((0, 3)))
+        assert expected[0] is ValueError
+        assert outcome(Cpd, "A", (), np.empty((0, 3))) == expected
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(CardinalityMismatch, match="not finite"):
-            Cpd("A", (), np.array([[np.nan, 0.5]]))
+    @pytest.mark.parametrize("card", range(1, 11))
+    def test_rows_at_the_tolerance_decided_as_the_per_row_check(self, card):
+        # Rows scaled to sum within a few ulps of 1 +- 1e-9, where the last
+        # bit of a row sum decides.
+        rows = tall(card, rows=400, seed=card)
+        rows *= 1 + np.linspace(-1.001e-9, 1.001e-9, len(rows))[:, None]
+        decided = {None: 0, NOT_NORMALIZED: 0}
+        for row in rows:
+            expected = outcome(per_row_check, "A", [row])
+            assert outcome(Cpd, "A", (), [row]) == expected
+            decided[expected] += 1
+        assert decided[None] and decided[NOT_NORMALIZED]
+        assert outcome(Cpd, "A", (), rows) == outcome(per_row_check, "A", rows)
 
     def test_network_validates_parent_order(self, abc_scheme):
         dag = Dag.from_names(abc_scheme, [("X0", "X2"), ("X1", "X2")])
@@ -107,6 +179,18 @@ class TestFitCpds:
         for name, cpd in fit_cpds(dag, warm, 5.0).cpds.items():
             assert cpd.parents == fresh.cpds[name].parents
             assert cpd.table.tobytes() == fresh.cpds[name].table.tobytes()
+
+    @pytest.mark.parametrize("ess", [0.5, 5.0, 10.0, 15.0])
+    def test_cells_are_the_broadcast_division_bit_for_bit(self, ess):
+        data = sample_from_network(reference_network(7), 2000, seed=3)
+        scheme = data.scheme
+        net = fit_cpds(nsclc.v5_dag(), data, ess)
+        for name, cpd in net.cpds.items():
+            counts = contingency_counts(data, name, cpd.parents)
+            a_i = ess / counts.n_configs
+            a_ij = a_i / scheme.cardinality(name)
+            expected = (counts.n_ij + a_ij) / (counts.n_ij.sum(axis=1) + a_i)[:, None]
+            assert cpd.table.tobytes() == expected.tobytes()
 
     def test_large_sample_recovers_frequencies(self):
         scheme = binary_scheme(1)

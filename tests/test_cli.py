@@ -300,6 +300,8 @@ class TestExitCodes:
             "scheme-name-not-a-string",
             "scheme-repeated-state",
             "scheme-state-read-as-missing",
+            "scheme-state-with-surrounding-space",
+            "scheme-name-with-surrounding-space",
             "csv-repeated-column",
             "network-table-1-d",
             "network-table-wrong-shape",
@@ -346,6 +348,13 @@ class TestExitCodes:
         repeated_state = "variable 'A' repeats a state"
         read_as_missing = (
             "variable 'A' has state 'NA', which CSV reading takes for a missing value"
+        )
+        stripped_state = (
+            "variable 'A' has state ' x', whose surrounding whitespace CSV reading "
+            "strips"
+        )
+        stripped_name = (
+            "variable 'A ' has surrounding whitespace, which CSV reading strips"
         )
 
         def not_strings(variable):
@@ -449,6 +458,18 @@ class TestExitCodes:
                 ingest,
                 "not a variable list of name/states objects "
                 f"({ValueError(read_as_missing)!r})",
+            ),
+            "scheme-state-with-surrounding-space": (
+                scheme("A", [" x", "y"], ["0", "1"]),
+                ingest,
+                "not a variable list of name/states objects "
+                f"({ValueError(stripped_state)!r})",
+            ),
+            "scheme-name-with-surrounding-space": (
+                scheme("A ", ["x", "y"], ["0", "1"]),
+                ingest,
+                "not a variable list of name/states objects "
+                f"({ValueError(stripped_name)!r})",
             ),
             "csv-repeated-column": (
                 "A,B,A\nx,0,y\n",

@@ -8,6 +8,7 @@ from causalkit.data import (
     CategoricalDataset,
     contingency_counts,
     load_csv,
+    row_sums,
     write_csv,
 )
 from causalkit.errors import (
@@ -127,6 +128,23 @@ class TestDataset:
         assert table.n_ij.tolist() == [[2, 0, 0], [0, 0, 0]]
         columns = CategoricalDataset(AB, np.ascontiguousarray(base.T).T)
         assert columns.rows.flags.f_contiguous  # the layout is kept
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("width", range(0, 12))
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bits_of_numpy_sum(self, width, layout):
+        rng = np.random.default_rng(width)
+        table = rng.dirichlet([0.5] * max(width, 1), size=3000)[:, :width]
+        table *= rng.uniform(0.5, 2.0, size=(len(table), 1))
+        table = {
+            "C": np.ascontiguousarray(table),
+            "F": np.asfortranarray(table),
+            "strided": np.repeat(table, 2, axis=1)[::3, ::2],
+        }[layout]
+        for t in (table, (table * 1000).astype(np.int64)):
+            assert row_sums(t).dtype == t.sum(axis=1).dtype
+            assert row_sums(t).tobytes() == t.sum(axis=1).tobytes()
 
 
 class TestContingency:

@@ -52,6 +52,18 @@ class TestScheme:
         with pytest.raises(ValueError, match="missing value"):
             VariableScheme.of([("A", (label, "x"))])
 
+    @pytest.mark.parametrize("label", [" x", "x ", "\tx", "x\n"])
+    def test_state_with_surrounding_whitespace_rejected(self, label):
+        # CSV reading strips every cell, so such a label could never be read.
+        with pytest.raises(ValueError, match="whitespace CSV reading strips"):
+            VariableScheme.of([("A", (label, "y"))])
+
+    @pytest.mark.parametrize("name", [" A", "A ", " "])
+    def test_name_with_surrounding_whitespace_rejected(self, name):
+        # CSV reading strips every header, so no column could match the name.
+        with pytest.raises(ValueError, match="whitespace, which CSV reading strips"):
+            VariableScheme.of([(name, ("x", "y"))])
+
     def test_lookup(self):
         s = binary_scheme(3)
         assert s.index("X2") == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from causalkit import nsclc
 from causalkit.data import CategoricalDataset, contingency_counts
 from causalkit.graph import Dag, VariableScheme
 from causalkit.scoring import (
@@ -17,6 +18,7 @@ from causalkit.scoring import (
     bdeu_total,
     score_table,
 )
+from causalkit.synth import reference_network, sample_from_network
 
 from conftest import binary_scheme
 
@@ -59,6 +61,19 @@ def canonical_oracle(n_ij, alpha):
         for n in row:
             total += gammaln(a_ij + n) - gammaln(a_ij)
     return total
+
+
+def per_cell_canonical(counts, alpha):
+    """bdeu_family_canonical with one math.lgamma call per histogram row."""
+    n_i, n_ij, m = counts.histogram
+    r = counts.child_card
+    a_i = alpha / counts.n_configs
+    a_ij = a_i / r
+    lg_ij = np.array([math.lgamma(a_ij + k) for k in n_ij.tolist()])
+    lg_i = np.array([math.lgamma(a_i + k) for k in n_i.tolist()])
+    cells = m * (lg_ij - math.lgamma(a_ij))
+    configs = m / r * (lg_i - math.lgamma(a_i))
+    return math.fsum((cells - configs).tolist())
 
 
 class TestPaperVariant:
@@ -231,6 +246,7 @@ class TestSparseWideTables:
         alpha = data.draw(st.sampled_from([0.5, 1.0, 5.0, 15.0]))
         counts = self._table(cards, rows)
         n_ij = counts.n_ij.tolist()
+        assert bdeu_family_canonical(counts, alpha) == per_cell_canonical(counts, alpha)
         assert bdeu_family_canonical(counts, alpha) == pytest.approx(
             canonical_oracle(n_ij, alpha), rel=1e-12
         )
@@ -255,15 +271,36 @@ class TestSparseWideTables:
         counts = self._table((3, 4, 3, 4), [(0, 1, 2, 3), (1, 1, 2, 3), (0, 0, 0, 0)])
         assert counts.n_i is counts.n_i
         assert counts.histogram is counts.histogram
+        assert counts.distinct is counts.distinct
         n_i, n_ij, m = (column.tolist() for column in counts.histogram)
         assert (n_i, n_ij, m) == ([1, 1, 2, 2], [0, 1, 0, 1], [2, 1, 1, 2])
         assert counts.n_i[[0, 23]].tolist() == [1, 2] and counts.n_i.sum() == 3
-        for column in (counts.n_i, *counts.histogram):
+        (i_values, i_index), (ij_values, ij_index) = counts.distinct
+        assert (i_values.tolist(), i_index.tolist()) == ([1, 2], [0, 0, 1, 1])
+        assert (ij_values.tolist(), ij_index.tolist()) == ([0, 1], [0, 1, 0, 1])
+        levels = (i_values, i_index, ij_values, ij_index)
+        for column in (counts.n_i, *counts.histogram, *levels):
             with pytest.raises(ValueError):
                 column[0] = 5
-        for attr in ("n_i", "histogram"):
+        for attr in ("n_i", "histogram", "distinct"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(counts, attr, None)
+
+
+class TestDistinctCounts:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0, 10.0, 15.0])
+    def test_canonical_equals_one_lgamma_per_cell(self, alpha):
+        data = sample_from_network(reference_network(7), 3000, seed=4)
+        dag = nsclc.v5_dag()
+        for idx, name in enumerate(dag.scheme.names):
+            parents = tuple(dag.scheme.names[p] for p in dag.parents(idx))
+            counts = contingency_counts(data, name, parents)
+            for column, (values, index) in zip(counts.histogram, counts.distinct):
+                assert values[index].tolist() == column.tolist()
+                assert values.tolist() == sorted(set(column.tolist()))
+            assert bdeu_family_canonical(counts, alpha) == per_cell_canonical(
+                counts, alpha
+            )
 
 
 class TestScoreTable:

@@ -4,7 +4,7 @@ import pytest
 from causalkit import nsclc, synth
 from causalkit.bayesnet import BayesianNetwork, Cpd
 from causalkit.errors import MarginalMismatch
-from causalkit.graph import Dag
+from causalkit.graph import Dag, VariableScheme
 from causalkit.synth import (
     CohortSpec,
     generate_cohort,
@@ -14,6 +14,20 @@ from causalkit.synth import (
 )
 
 from conftest import binary_scheme
+
+
+def cumsum_draw(probs, u):
+    """The sampler's rule as one cumsum per row: the reference for _draw."""
+    return (probs.cumsum(axis=-1)[..., :-1] < u[:, None]).sum(axis=1)
+
+
+def cumsum_sample(net, n, seed):
+    rng = synth._rng(seed)
+    rows = np.zeros((n, len(net.scheme)), dtype=np.int64)
+    for idx in net.dag.topological_order():
+        probs = net.tables[idx][tuple(rows[:, p] for p in net.scopes[idx][:-1])]
+        rows[:, idx] = cumsum_draw(probs, rng.random(n))
+    return rows
 
 
 class TestCohortSpec:
@@ -38,6 +52,16 @@ class TestGenerateCohort:
         c = generate_cohort(CohortSpec.nsclc_default(seed=6))
         assert np.array_equal(a.rows, b.rows)
         assert not np.array_equal(a.rows, c.rows)
+
+    @pytest.mark.parametrize("n, seed", [(326, 0), (10_000, 4)])
+    def test_rows_equal_the_cumsum_rule(self, n, seed):
+        rng = synth._rng(seed)
+        expected = [
+            cumsum_draw(np.array(nsclc.COHORT_MARGINALS[name]), rng.random(n))
+            for name in nsclc.SCHEME.names
+        ]
+        rows = generate_cohort(CohortSpec.nsclc_default(n, seed)).rows
+        assert (rows == np.array(expected).T).all()
 
     def test_large_sample_hits_marginals(self):
         spec = CohortSpec.nsclc_default(n=100_000, seed=1)
@@ -81,6 +105,44 @@ class TestSampleFromNetwork:
         y = data.column("Y")
         assert y[(m == 1) & (t == 1)].mean() == pytest.approx(0.8, abs=0.02)
 
+
+    @pytest.mark.parametrize(
+        "make_net, n, seed",
+        [
+            (lambda: reference_network(7), 1000, 12),
+            (lambda: reference_network(7), 10_000, 810448438),
+            (lambda: random_network(nsclc.v5_dag(), 1, concentration=0.3), 500, 1),
+            (lambda: random_network(nsclc.v1_dag(), 2, concentration=5.0), 500, 2),
+        ],
+    )
+    def test_rows_equal_the_cumsum_rule(self, make_net, n, seed):
+        net = make_net()
+        rows = sample_from_network(net, n, seed).rows
+        assert (rows == cumsum_sample(net, n, seed)).all()
+
+    def test_rows_just_under_one_equal_the_cumsum_rule(self):
+        scheme = VariableScheme.of(
+            [("A", ("0", "1", "2")), ("B", ("0", "1", "2", "3"))]
+        )
+        a_row = [0.25, 0.25, 0.5 - 5e-10]
+        b_rows = [
+            [0.1, 0.2, 0.3, 0.4 - 9e-10],
+            [0.25] * 4,
+            [0.7, 0.0, 0.3 - 1e-10, 0.0],
+        ]
+        net = BayesianNetwork(
+            Dag.from_names(scheme, [("A", "B")]),
+            {
+                "A": Cpd("A", (), np.array([a_row])),
+                "B": Cpd("B", ("A",), np.array(b_rows)),
+            },
+        )
+        # Draws across [0, 1] and just below 1, above every row's sum.
+        u = np.concatenate([np.linspace(0, 1, 2001), 1 - np.logspace(-16, -9, 50)])
+        for probs in (np.array(a_row), np.array(b_rows)[np.arange(len(u)) % 3]):
+            assert (synth._draw(probs, u) == cumsum_draw(probs, u)).all()
+        rows = sample_from_network(net, 5000, 3).rows
+        assert (rows == cumsum_sample(net, 5000, 3)).all()
 
     def test_row_just_under_one_gives_last_state(self, monkeypatch):
         # Rows summing to 1 - 5e-10 pass the 1e-9 normalization checks; a
