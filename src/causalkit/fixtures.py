@@ -81,7 +81,7 @@ SINGLE_PROMPT_RESPONSE = (
     "affect the TREATMENTPLAN, SURVIVALMONTHS, and STAGEGROUP."
 )
 
-# The four recorded correction turns and the edge lists of the drafts each
+# The four recorded correction turns; nsclc.draft_edges gives the draft each
 # canned reply restates.
 REFINEMENT_CORRECTIONS = (
     "how age is not cause smoking please relook into the adjacency matrix "
@@ -91,25 +91,6 @@ REFINEMENT_CORRECTIONS = (
     "survival months",
     "treatment plan should effect survival months",
 )
-
-
-def _v2_edges():
-    return nsclc.v1_edges() + [("AGE", "SMOKING")]
-
-
-def _v3_edges():
-    edges = [e for e in _v2_edges() if not (e[0] in nsclc.GENES and e[1] == "STAGEGROUP")]
-    for gene in nsclc.GENES:
-        edges += [("SMOKING", gene), ("STAGEGROUP", gene)]
-    return edges
-
-
-def _v5_edges():
-    return _v3_edges() + [("TREATMENTPLAN", "SURVIVALMONTHS")]
-
-
-# V2 to V5; the third correction's reply restates V3, so V4 is V3.
-REFINEMENT_DRAFT_EDGES = (_v2_edges, _v3_edges, _v3_edges, _v5_edges)
 
 
 def edges_to_reply(edges) -> str:
@@ -147,7 +128,7 @@ def replay_backend() -> ReplayBackend:
         else:
             exchanges[prompt] = _UNCERTAIN_COMPLETION
     exchanges[render_single_prompt(scheme)] = SINGLE_PROMPT_RESPONSE
-    drafts = [nsclc.v1_edges(), *(edges() for edges in REFINEMENT_DRAFT_EDGES)]
+    drafts = nsclc.draft_edges()
     for correction, current, reply in zip(REFINEMENT_CORRECTIONS, drafts, drafts[1:]):
         current = sorted({(scheme.index(u), scheme.index(v)) for u, v in current})
         prompt = render_refine_prompt(correction, current, scheme)

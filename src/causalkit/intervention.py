@@ -68,35 +68,30 @@ def _randomized(net: BayesianNetwork, node: str) -> BayesianNetwork:
 
 
 def _arms(
-    net: BayesianNetwork, treatment: str, outcome: str, evidence, values, infer
-) -> tuple[np.ndarray, np.ndarray]:
-    """(E[v(outcome) | do(t), evidence], evidence mass) for every state t of
-    `treatment`, in scheme order, from one query on `net`, a network in which
-    `treatment` is already randomized.
+    net: BayesianNetwork, treatment: str, outcome: str, evidence, values, arms, infer
+) -> np.ndarray:
+    """E[v(outcome) | do(t), evidence] for each state index t in `arms`, from
+    one query on `net`, a network in which `treatment` is already randomized.
 
     With the incoming edges cut and a prior of full support, P(outcome |
     treatment = t, evidence) there equals P(outcome | do(t), evidence), so
     each row of the posterior over (treatment, outcome) is divided by its own
-    mass.  A row of mass 0, an arm under which the evidence is impossible,
-    is left NaN for the caller to reject if it uses that arm.
+    mass.  ZeroEvidenceProbability names the first arm of mass 0, one under
+    which the evidence is impossible.  The whole posterior is divided and
+    multiplied before the arms are taken, which keeps every arm's bits
+    independent of which others are asked for.
     """
     joint = infer(net, (treatment, outcome), dict(evidence))
     mass = joint.sum(axis=1)
-    posterior = np.divide(
-        joint, mass[:, None], out=np.full_like(joint, np.nan), where=mass[:, None] > 0
-    )
-    return posterior @ values, mass
-
-
-def _check_mass(mass, scheme, treatment, arms) -> None:
-    """Raise ZeroEvidenceProbability unless every arm used, by state index,
-    gives the evidence positive mass."""
     for arm in arms:
         if not mass[arm] > 0:
             raise ZeroEvidenceProbability(
                 "evidence has probability zero under "
-                f"do({treatment}={scheme.states(treatment)[arm]})"
+                f"do({treatment}={net.scheme.states(treatment)[arm]})"
             )
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows no arm uses
+        expected = (joint / mass[:, None]) @ values
+    return expected[list(arms)]
 
 
 def ate(net: BayesianNetwork, q: InterventionQuery, infer=variable_elimination) -> float:
@@ -116,11 +111,11 @@ def ate(net: BayesianNetwork, q: InterventionQuery, infer=variable_elimination) 
     treated, control = (
         scheme.state_index(q.treatment, s) for s in (q.treated_state, q.control_state)
     )
-    expected, mass = _arms(
-        _randomized(net, q.treatment), q.treatment, q.outcome, q.evidence, values, infer
+    treated_value, control_value = _arms(
+        _randomized(net, q.treatment), q.treatment, q.outcome, q.evidence, values,
+        (treated, control), infer,
     )
-    _check_mass(mass, scheme, q.treatment, (treated, control))
-    return float(expected[treated] - expected[control])
+    return float(treated_value - control_value)
 
 
 @dataclass(frozen=True)
@@ -162,10 +157,9 @@ def ate_grid(net: BayesianNetwork) -> AteGrid:
     columns = []
     for gene in MUTATION_COLUMNS:
         evidence = {gene: scheme.states(gene)[-1]}
-        expected, mass = _arms(
+        expected = _arms(
             randomized, TREATMENT_VARIABLE, OUTCOME, evidence, values,
-            variable_elimination,
+            (*rows, control), variable_elimination,
         )
-        _check_mass(mass, scheme, TREATMENT_VARIABLE, (*rows, control))
-        columns.append(expected[rows] - expected[control])
+        columns.append(expected[:-1] - expected[-1])
     return AteGrid(TREATMENT_ROWS, MUTATION_COLUMNS, np.stack(columns, axis=1))

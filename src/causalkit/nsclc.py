@@ -1,4 +1,5 @@
-"""The 18-variable NSCLC scheme, display names, and published cohort marginals."""
+"""The 18-variable NSCLC scheme, display names, published cohort marginals,
+and the edge lists of the recorded drafts V1 to V5."""
 
 from __future__ import annotations
 
@@ -123,36 +124,24 @@ def v1_edges():
     return edges
 
 
+def draft_edges():
+    """Edge lists of drafts V1 to V5: the single-prompt draft, then the draft
+    restated by the reply to each of the four recorded corrections
+    (`fixtures.REFINEMENT_CORRECTIONS`, quoted below)."""
+    v1 = v1_edges()
+    v2 = v1 + [("AGE", "SMOKING")]  # "how age is not cause smoking ..."
+    # "the stage group and smoking should cause some mutation in nsclc"
+    v3 = [e for e in v2 if not (e[0] in GENES and e[1] == "STAGEGROUP")]
+    v3 += [(cause, gene) for gene in GENES for cause in ("SMOKING", "STAGEGROUP")]
+    # "please reinvestigate how mutation is effecting ...": V4 restates V3.
+    # "treatment plan should effect survival months"
+    v5 = v3 + [("TREATMENTPLAN", "SURVIVALMONTHS")]
+    return [v1, v2, v3, v3, v5]
+
+
 def v5_edges():
     """Edge list after the recorded refinement session (final draft)."""
-    edges = [
-        ("AGE", "SMOKING"),
-        ("AGE", "TREATMENTPLAN"),
-        ("AGE", "SURVIVALMONTHS"),
-        ("SMOKING", "CHESTPAIN"),
-        ("SMOKING", "SHORTNESSOFBREATH"),
-        ("SMOKING", "TREATMENTPLAN"),
-        ("SMOKING", "SURVIVALMONTHS"),
-        ("SMOKING", "STAGEGROUP"),
-        ("GENDER", "TREATMENTPLAN"),
-        ("GENDER", "SURVIVALMONTHS"),
-        ("SHORTNESSOFBREATH", "STAGEGROUP"),
-        ("CHESTPAIN", "STAGEGROUP"),
-        ("STAGEGROUP", "TREATMENTPLAN"),
-        ("STAGEGROUP", "SURVIVALMONTHS"),
-        ("WEIGHTLOSS", "STAGEGROUP"),
-        ("WEIGHTLOSS", "TREATMENTPLAN"),
-        ("WEIGHTLOSS", "SURVIVALMONTHS"),
-        ("TREATMENTPLAN", "SURVIVALMONTHS"),
-    ]
-    for gene in GENES:
-        edges += [
-            ("SMOKING", gene),
-            ("STAGEGROUP", gene),
-            (gene, "TREATMENTPLAN"),
-            (gene, "SURVIVALMONTHS"),
-        ]
-    return edges
+    return draft_edges()[-1]
 
 
 def v1_dag() -> Dag:

@@ -1,9 +1,10 @@
 """Synthetic data generation.
 
-Two generators: ancestral sampling from any fully parameterized network, and
-an independent-marginals cohort generator matching the published summary
-table.  Both use the Philox counter-based RNG so results are reproducible
-across platforms for a fixed seed.
+Ancestral sampling from any fully parameterized network, and cohorts of
+independent variables matching the published summary table, which are
+samples of the edgeless network of those marginals.  Sampling uses the
+Philox counter-based RNG so results are reproducible across platforms for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ class CohortSpec:
         if self.n < 1:
             raise MarginalMismatch("n must be >= 1")
         for name, vec in self.marginals.items():
+            # Written so that NaN fails too.
+            if not all(0 <= p <= 1 for p in vec):
+                raise MarginalMismatch(f"marginals for {name} are not all in [0, 1]: {vec}")
             if abs(sum(vec) - 1.0) > 1e-9:
                 raise MarginalMismatch(f"marginals for {name} sum to {sum(vec)}")
 
@@ -58,10 +62,10 @@ def sample_from_network(
 def generate_cohort(
     spec: CohortSpec, scheme: VariableScheme = nsclc.SCHEME
 ) -> CategoricalDataset:
-    """Independent draws per variable from the marginal targets."""
-    rng = _rng(spec.seed)
-    rows = np.zeros((spec.n, len(scheme)), dtype=np.int64)
-    for idx, name in enumerate(scheme.names):
+    """Independent draws per variable from the marginal targets: a sample of
+    the edgeless network whose root CPDs are the marginals."""
+    cpds = {}
+    for name in scheme.names:
         if name not in spec.marginals:
             raise MarginalMismatch(f"no marginal target for {name}")
         vec = np.asarray(spec.marginals[name], dtype=float)
@@ -70,8 +74,8 @@ def generate_cohort(
                 f"{name}: {vec.size} probabilities for "
                 f"{scheme.cardinality(name)} states"
             )
-        rows[:, idx] = _draw(vec, rng.random(spec.n))
-    return CategoricalDataset(scheme, rows)
+        cpds[name] = Cpd(name, (), vec[None, :])
+    return sample_from_network(BayesianNetwork(Dag(scheme), cpds), spec.n, spec.seed)
 
 
 def _draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
