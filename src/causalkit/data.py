@@ -119,7 +119,8 @@ def load_csv(source, scheme: VariableScheme):
 
     A numeric cell of a column in nsclc.NUMERIC_BINS is binned; every other
     cell must be a state label.  Rows with missing values in any scheme
-    column are dropped; the drop count is returned alongside the dataset.
+    column are dropped, after all their cells are read; the drop count is
+    returned alongside the dataset.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -160,10 +161,9 @@ def load_csv(source, scheme: VariableScheme):
                 state = memo[text]
             except KeyError:
                 state = memo[text] = _encode_cell(text.strip(), name, scheme)
-            if state is None:
-                dropped += 1
-                break
             row.append(state)
+        if None in row:
+            dropped += 1
         else:
             encoded.append(row)
     if not encoded:

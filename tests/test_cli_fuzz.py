@@ -211,3 +211,22 @@ def test_retyped_leaf_exits_2_in_a_scheme_graph_or_network_file(kind, data):
     ))
     if kind in ("scheme", "graph", "network"):
         assert code == 2, err
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_bad_label_exits_2_beside_a_blanked_cell(data):
+    """A CSV row with an unmapped label and a blanked cell, in either order,
+    exits 2 naming the file and the label's column."""
+    columns = st.permutations(range(len(SCHEME)))
+    bad, blank = data.draw(columns)[:2]
+
+    def change(rows):
+        rows = deepcopy(rows)
+        row = rows[data.draw(st.integers(1, len(rows) - 1))]
+        row[bad], row[blank] = "BOGUS", data.draw(st.sampled_from(["", "NA", "nan"]))
+        return rows
+
+    code, err = run_command(data, "csv", change)
+    assert code == 2, err
+    assert f"csv: {SCHEME.names[bad]}: unmapped state label 'BOGUS'" in err

@@ -67,10 +67,13 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatch, match="unmapped state label 'mid'"):
             load_csv("A,B\nlo,x\nmid,x\nhi,y\nhi\n", AB)
 
-    def test_bad_label_after_missing_value_drops_the_row(self):
-        data, dropped = load_csv("A,B\nNA,bogus\nlo,x\n", AB)
-        assert dropped == 1
-        assert data.rows.tolist() == [[0, 0]]
+    @pytest.mark.parametrize(
+        "row, label",
+        [(",bogus", "bogus"), ("NA,bogus", "bogus"), ("bogus,", "bogus"), ("mid,NA", "mid")],
+    )
+    def test_bad_label_rejected_on_either_side_of_a_missing_cell(self, row, label):
+        with pytest.raises(SchemaMismatch, match=f"unmapped state label '{label}'"):
+            load_csv(f"A,B\nlo,x\n{row}\nhi,y\n", AB)
 
     def test_surrounding_spaces_give_the_same_state(self):
         data, _ = load_csv("A,B\n hi ,y\nhi, y \nhi,y\n", AB)

@@ -3,7 +3,7 @@
 The steps run in process through `cli.dispatch`: the README pipeline on a
 326-row cohort (V1 from the single prompt, the pairwise draft, PC and
 NOTEARS), then the V5 path (`refine` with the recorded corrections, `fit`
-and `ate` on V5).  Each output is held here as its text, when short, or as
+of V5 to a network file, and `ate` with V5 fitted in memory).  Each output is held here as its text, when short, or as
 its SHA-256 digest.  What is pinned is portable across x86-64 CPUs at a
 fixed numpy and scipy: Philox draws and comparisons, graph files, IEEE add
 and divide written with `repr`, and tables printed to 2 or 6 decimals.
@@ -52,7 +52,8 @@ STEPS = (
                  "notears.json", "--data", "cohort.csv"]),
     ("fit-v5", ["fit", "--graph", "v5.json", "--data", "cohort.csv", "--ess", "10",
                 "--out", "network_v5.json"]),
-    ("ate-v5", ["ate", "--network", "network_v5.json", "--out", "ate_v5.csv"]),
+    ("ate-v5", ["ate", "--graph", "v5.json", "--data", "cohort.csv", "--ess", "10",
+                "--out", "ate_v5.csv"]),
 )
 
 CORRECTIONS = "".join(f"{c}\n" for c in (*fixtures.REFINEMENT_CORRECTIONS, ":done"))

@@ -35,6 +35,15 @@ class TestCohortSpec:
         with pytest.raises(MarginalMismatch):
             CohortSpec(10, {"A": (0.5, 0.6)})
 
+    @pytest.mark.parametrize(
+        "vec",
+        [(float("nan"), 0.5), (1.5, -0.5), (float("inf"), 0.0),
+         (float("inf"), -float("inf")), (0.5, float("nan"), 0.5)],
+    )
+    def test_marginals_must_be_probabilities(self, vec):
+        with pytest.raises(MarginalMismatch, match=r"A are not all in \[0, 1\]"):
+            CohortSpec(5, {"A": vec})
+
     def test_n_must_be_positive(self):
         with pytest.raises(MarginalMismatch):
             CohortSpec(0, {})

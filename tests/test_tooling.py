@@ -1,11 +1,15 @@
-"""The repository's pytest settings, run on a throwaway test file."""
+"""The repository's tooling: its pytest settings, run on a throwaway test
+file, and the names the benchmark's tracer wraps."""
 
+import importlib
+import importlib.util
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_path):
@@ -35,3 +39,21 @@ def test_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_pat
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Falsifying example" in proc.stdout
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_every_traced_name_resolves():
+    # bench/tracing.py looks each name up when it installs; a renamed
+    # function would otherwise fail only a traced benchmark run.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr in tracing.TRACED:
+        owner = importlib.import_module(f"causalkit.{module}")
+        for part in attr.split("."):
+            owner = vars(owner).get(part)  # own attributes, as the tracer reads them
+            if owner is None:
+                break
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert not missing
