@@ -37,7 +37,9 @@ class CohortSpec:
         for name, vec in self.marginals.items():
             # Written so that NaN fails too.
             if not all(0 <= p <= 1 for p in vec):
-                raise MarginalMismatch(f"marginals for {name} are not all in [0, 1]: {vec}")
+                raise MarginalMismatch(
+                    f"marginals for {name} are not all in [0, 1]: {vec}"
+                )
             if abs(sum(vec) - 1.0) > 1e-9:
                 raise MarginalMismatch(f"marginals for {name} sum to {sum(vec)}")
 

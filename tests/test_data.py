@@ -69,7 +69,8 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize(
         "row, label",
-        [(",bogus", "bogus"), ("NA,bogus", "bogus"), ("bogus,", "bogus"), ("mid,NA", "mid")],
+        [(",bogus", "bogus"), ("NA,bogus", "bogus"), ("bogus,", "bogus"),
+         ("mid,NA", "mid")],
     )
     def test_bad_label_rejected_on_either_side_of_a_missing_cell(self, row, label):
         with pytest.raises(SchemaMismatch, match=f"unmapped state label '{label}'"):

@@ -3,14 +3,15 @@
 The steps run in process through `cli.dispatch`: the README pipeline on a
 326-row cohort (V1 from the single prompt, the pairwise draft, PC and
 NOTEARS), then the V5 path (`refine` with the recorded corrections, `fit`
-of V5 to a network file, and `ate` with V5 fitted in memory).  Each output is held here as its text, when short, or as
-its SHA-256 digest.  What is pinned is portable across x86-64 CPUs at a
-fixed numpy and scipy: Philox draws and comparisons, graph files, IEEE add
-and divide written with `repr`, and tables printed to 2 or 6 decimals.
-NOTEARS' weights pass through BLAS and L-BFGS-B, so only its edge set is
-pinned.  The V1 network file is pinned twice, by the file and by the bits
-of the tables read back from it, so that a change of layout alone shows as
-a change of the file digest only.
+of V5 to a network file, and `ate` with V5 fitted in memory).  Each output
+is held here as its text, when short, or as its SHA-256 digest.  What is
+pinned is portable across x86-64 CPUs at a fixed numpy and scipy: Philox
+draws and comparisons, graph files, IEEE add and divide written with
+`repr`, and tables printed to 2 or 6 decimals.  NOTEARS' weights pass
+through BLAS and L-BFGS-B, so only its edge set is pinned.  The V1 network
+file is pinned twice, by the file and by the bits of the tables read back
+from it, so that a change of layout alone shows as a change of the file
+digest only.
 
 A change that alters a pinned output on purpose updates its entry here and
 says why in CHANGES.md.  An entry is never updated to let a defect pass.
@@ -41,8 +42,10 @@ STEPS = (
     ("discover-pc",
      ["discover", "--algo", "pc", "--data", "cohort.csv", "--out", "pc.json"]),
     ("discover-notears",
-     ["discover", "--algo", "notears", "--data", "cohort.csv", "--out", "notears.json"]),
-    ("score", ["score", "--graph", "v1.json", "--data", "cohort.csv", "--out", "score.txt"]),
+     ["discover", "--algo", "notears", "--data", "cohort.csv",
+      "--out", "notears.json"]),
+    ("score", ["score", "--graph", "v1.json", "--data", "cohort.csv",
+               "--out", "score.txt"]),
     ("fit", ["fit", "--graph", "v1.json", "--data", "cohort.csv", "--ess", "10",
              "--out", "network.json"]),
     ("ate", ["ate", "--network", "network.json", "--grid", "--out", "ate.csv"]),
@@ -228,7 +231,7 @@ def pipeline(tmp_path_factory):
 def test_output_is_pinned(pipeline, step, item, kind, expected):
     workdir, stdouts = pipeline
     observed = observe(workdir, stdouts, step, item, kind)
-    assert observed == expected, f"{step}: {item} ({kind}) differs from its pinned value"
+    assert observed == expected, f"{step}: {item} ({kind}) differs from its pin"
 
 
 def test_every_step_and_file_is_pinned(pipeline):

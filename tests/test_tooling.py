@@ -44,7 +44,8 @@ def test_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_pat
 def test_every_traced_name_resolves():
     # bench/tracing.py looks each name up when it installs; a renamed
     # function would otherwise fail only a traced benchmark run.
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    path = ROOT / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     missing = []
