@@ -81,10 +81,6 @@ def run_pipeline(workdir) -> dict[str, str]:
     return stdouts
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _table_bits(text: str) -> str:
     """Digest of each CPD's child, parents, shape, dtype and table bytes."""
     net = BayesianNetwork.from_json(text)
@@ -105,7 +101,7 @@ def _edges(text: str) -> str:
 
 READ = {
     "text": lambda text: text,
-    "sha256": lambda text: _sha256(text.encode("utf-8")),
+    "sha256": lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest(),
     "tables": _table_bits,
     "edges": _edges,
 }
