@@ -284,10 +284,7 @@ def brute_force_query(
     sum_axes = tuple(i for i, v in enumerate(kept) if v not in query_idx)
     marginal = conditioned.sum(axis=sum_axes)
     remaining = [v for v in kept if v in query_idx]
-    if query_idx:
-        marginal = np.transpose(
-            marginal, [remaining.index(q) for q in query_idx]
-        )
+    marginal = np.transpose(marginal, [remaining.index(q) for q in query_idx])
     return _normalized(marginal)
 
 

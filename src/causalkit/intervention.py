@@ -31,14 +31,11 @@ class InterventionQuery:
     evidence: dict[str, str] = field(default_factory=dict)
 
     def validate(self, net: BayesianNetwork):
-        scheme = net.scheme
         if self.outcome == self.treatment:
             raise UnknownVariable("outcome must differ from treatment")
         if self.treatment in self.evidence:
             raise UnknownVariable("treatment cannot also be evidence")
-        for state in self.treated_state, self.control_state:
-            scheme.state_index(self.treatment, state)
-        missing = set(scheme.states(self.outcome)) - set(self.outcome_values)
+        missing = set(net.scheme.states(self.outcome)) - set(self.outcome_values)
         if missing:
             raise UnknownState(f"outcome_values missing states {sorted(missing)}")
 
@@ -104,8 +101,6 @@ def ate(net: BayesianNetwork, q: InterventionQuery, infer=variable_elimination) 
     impossible under either arm.
     """
     q.validate(net)
-    if q.treated_state == q.control_state:
-        return 0.0
     scheme = net.scheme
     values = np.array([q.outcome_values[s] for s in scheme.states(q.outcome)])
     treated, control = (

@@ -387,20 +387,17 @@ def pc_run(
 
 
 def dag_to_cpdag(dag: Dag) -> Pdag:
-    """Pattern (CPDAG) of a DAG: skeleton, its v-structures, Meek closure."""
-    scheme = dag.scheme
-    directed = set()
-    for z in range(len(scheme)):
-        for x, y in combinations(dag.parents(z), 2):
-            if (x, y) not in dag.edges and (y, x) not in dag.edges:
-                directed.add((x, z))
-                directed.add((y, z))
-    undirected = {
-        frozenset((u, v))
-        for u, v in dag.edges
-        if (u, v) not in directed
-    }
-    return meek_closure(Pdag(scheme, frozenset(directed), frozenset(undirected)))
+    """Pattern (CPDAG) of a DAG: PC's collider step, then Meek closure.  A
+    nonadjacent pair x, y is separated by pa(x) | pa(y), as one is a
+    non-descendant of the other (local Markov property, weak union).  That set
+    holds the middle of every chain or fork between them and never a collider,
+    so exactly the unshielded colliders are oriented, and none is refused."""
+    skeleton = Pdag(dag.scheme, undirected=frozenset(map(frozenset, dag.edges)))
+    sepsets = SepsetMap()
+    for x, y in combinations(range(len(dag.scheme)), 2):
+        if y not in skeleton.neighbours[x]:
+            sepsets.put(x, y, dag.parents(x) + dag.parents(y))
+    return meek_closure(orient_v_structures(skeleton, sepsets))
 
 
 def structural_hamming_distance(a: Pdag, b: Pdag) -> int:

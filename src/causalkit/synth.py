@@ -10,6 +10,7 @@ fixed seed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +100,7 @@ def random_network(dag: Dag, seed: int, concentration: float = 1.0) -> BayesianN
     cpds = {}
     for idx, name in enumerate(scheme.names):
         parents = tuple(scheme.names[p] for p in dag.parents(idx))
-        n_configs = int(
-            np.prod([scheme.cardinality(p) for p in parents])
-        ) if parents else 1
+        n_configs = math.prod(scheme.cardinality(p) for p in parents)
         card = scheme.cardinality(name)
         table = rng.dirichlet([concentration] * card, size=n_configs)
         cpds[name] = Cpd(name, parents, table)

@@ -143,6 +143,20 @@ class TestAte:
     def test_same_arm_is_exactly_zero(self, confounded_net):
         assert ate(confounded_net, binary_query("1", "1")) == 0.0
 
+    def test_same_arm_on_impossible_evidence_raises(self):
+        # T, E -> Y with P(E = 1) = 0, so E = 1 is impossible under every arm.
+        scheme = VariableScheme.of(
+            [("T", ("0", "1")), ("E", ("0", "1")), ("Y", ("0", "1"))]
+        )
+        net = BayesianNetwork(Dag.from_names(scheme, [("T", "Y"), ("E", "Y")]), {
+            "T": Cpd("T", (), np.array([[0.5, 0.5]])),
+            "E": Cpd("E", (), np.array([[1.0, 0.0]])),
+            "Y": Cpd("Y", ("T", "E"), np.full((4, 2), 0.5)),
+        })
+        for arm in "0", "1":
+            with pytest.raises(ZeroEvidenceProbability):
+                ate(net, binary_query(arm, arm, {"E": "1"}))
+
     def test_no_descendant_gives_zero(self, chain_net):
         # B has no descendants, so do(B) cannot move A.
         q = InterventionQuery(
