@@ -117,10 +117,11 @@ def row_sums(table: np.ndarray) -> np.ndarray:
 def load_csv(source, scheme: VariableScheme):
     """Parse a CSV byte/text stream into a CategoricalDataset.
 
-    A numeric cell of a column in nsclc.NUMERIC_BINS is binned; every other
-    cell must be a state label.  Rows with missing values in any scheme
-    column are dropped, after all their cells are read; the drop count is
-    returned alongside the dataset.
+    A cell that is a state label is that state.  Any other cell of a column
+    in nsclc.NUMERIC_BINS is read as a number and binned; elsewhere it is an
+    error.  Rows with missing values in any scheme column are dropped, after
+    all their cells are read; the drop count is returned alongside the
+    dataset.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -172,16 +173,19 @@ def load_csv(source, scheme: VariableScheme):
 
 
 def _encode_cell(cell, name, scheme):
-    """The state of a stripped cell, or None when it is missing."""
+    """The state of a stripped cell, or None when it is missing.  A state label
+    is that state; any other cell of a column in NUMERIC_BINS is binned."""
     if is_missing(cell):
         return None
+    states = scheme.states(name)
+    if cell in states:
+        return states.index(cell)
     if name in NUMERIC_BINS:
         try:
             value = float(cell)
         except ValueError:
-            # Fall through: a pre-binned label is also accepted.
-            value = None
-        if value is not None:
+            pass
+        else:
             state = int(np.searchsorted(NUMERIC_BINS[name], value, side="right"))
             if state >= scheme.cardinality(name):
                 raise SchemaMismatch(
@@ -189,9 +193,6 @@ def _encode_cell(cell, name, scheme):
                     f"{scheme.cardinality(name)}"
                 )
             return state
-    states = scheme.states(name)
-    if cell in states:
-        return states.index(cell)
     raise SchemaMismatch(f"{name}: unmapped state label {cell!r}")
 
 

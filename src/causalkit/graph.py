@@ -236,13 +236,13 @@ def serialize_graph(graph, format: str = "json") -> str:
     directed = sorted(graph.edges if isinstance(graph, Dag) else graph.directed)
     undirected = [] if isinstance(graph, Dag) else _undirected_pairs_sorted(graph)
     if format == "dot":
-        lines = ["digraph G {"]
-        for name in scheme.names:
-            lines.append(f'  "{name}";')
-        for u, v in directed:
-            lines.append(f'  "{scheme.names[u]}" -> "{scheme.names[v]}";')
-        for u, v in undirected:
-            lines.append(f'  "{scheme.names[u]}" -> "{scheme.names[v]}" [dir=none];')
+        ids = [
+            '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+            for name in scheme.names
+        ]
+        lines = ["digraph G {", *(f"  {i};" for i in ids)]
+        lines += (f"  {ids[u]} -> {ids[v]};" for u, v in directed)
+        lines += (f"  {ids[u]} -> {ids[v]} [dir=none];" for u, v in undirected)
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":

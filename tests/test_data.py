@@ -112,6 +112,17 @@ class TestLoadCsv:
         assert dropped == 0
         assert np.array_equal(back.rows, data.rows)
 
+    def test_numeric_label_is_its_state_before_any_bin(self):
+        scheme = VariableScheme.of(
+            [("AGE", ("70", "80", "90")), ("SURVIVALMONTHS", ("10", "20"))]
+        )
+        data = CategoricalDataset(scheme, np.array([[0, 0], [1, 1], [2, 0]]))
+        back, _ = load_csv(write_csv(data), scheme)
+        assert back.rows.tolist() == [[0, 0], [1, 1], [2, 0]]
+        # A number that is not a label is still binned (75 falls in bin 2).
+        other, _ = load_csv("AGE,SURVIVALMONTHS\n75,20\n", scheme)
+        assert other.rows.tolist() == [[2, 1]]
+
 
 class TestDataset:
     def test_out_of_range_state_rejected(self):

@@ -230,6 +230,17 @@ class TestSerialization:
         g = Pdag.from_names(s, undirected=[("A", "B")])
         assert '"A" -> "B" [dir=none];' in serialize_graph(g, "dot")
 
+    def test_dot_escapes_quote_and_backslash(self):
+        s = VariableScheme.of([('a"b', ("0", "1")), ("c\\", ("0", "1"))])
+        g = Dag.from_names(s, [('a"b', "c\\")])
+        assert serialize_graph(g, "dot").splitlines() == [
+            "digraph G {",
+            '  "a\\"b";',
+            '  "c\\\\";',
+            '  "a\\"b" -> "c\\\\";',
+            "}",
+        ]
+
     def test_json_round_trip_dag(self):
         s = binary_scheme(4)
         g = Dag.from_names(s, [("X0", "X1"), ("X2", "X3"), ("X0", "X3")])
