@@ -264,8 +264,8 @@ def brute_force_query(
     """Oracle: materialize the full joint, condition, and marginalize."""
     scheme = net.scheme
     cards = scheme.cardinalities()
-    if int(np.prod(cards)) > 2**24:
-        raise StateSpaceTooLarge(f"joint has {np.prod(cards)} entries")
+    if (size := math.prod(cards)) > 2**24:
+        raise StateSpaceTooLarge(f"joint has {size} entries")
     query_idx, ev = _resolve_query(scheme, query, evidence)
 
     joint = np.ones(cards)

@@ -281,11 +281,11 @@ def _cmd_refine(args, scheme):
         except ToolkitError as exc:
             print(f"correction rejected: {exc}", file=sys.stderr)
             continue
-        diff = session.diffs[-1]
-        for u, v in diff.get("added", ()):
-            print(f"  + {scheme.names[u]} -> {scheme.names[v]}")
-        for u, v in diff.get("removed", ()):
-            print(f"  - {scheme.names[u]} -> {scheme.names[v]}")
+        (_, before), (_, after) = session.drafts[-2:]
+        before, after = set(before), set(after)
+        for sign, edges in ("+", after - before), ("-", before - after):
+            for u, v in sorted(edges):
+                print(f"  {sign} {scheme.names[u]} -> {scheme.names[v]}")
     _, edges = session.latest_draft
     _write(args.out_graph, serialize_graph(Dag(scheme, frozenset(edges)), "json"))
     _write_transcript(args, session)

@@ -18,7 +18,6 @@ from .llm import (
     render_pairwise_prompt,
     render_refine_prompt,
     render_single_prompt,
-    transcript_line,
 )
 
 # (cause, effect, completion, expected verdict) for the five recorded
@@ -144,9 +143,3 @@ def run_refinement_session() -> ElicitationTranscript:
     for correction in REFINEMENT_CORRECTIONS:
         session = refine(session, correction, backend, scheme)
     return session
-
-
-def write_replay_file(path, backend_exchanges: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for prompt, completion in backend_exchanges.items():
-            fh.write(transcript_line(prompt, completion, 0.0))

@@ -74,11 +74,15 @@ def _arms(
     treatment = t, evidence) there equals P(outcome | do(t), evidence), so
     each row of the posterior over (treatment, outcome) is divided by its own
     mass.  ZeroEvidenceProbability names the first arm of mass 0, one under
-    which the evidence is impossible.  The whole posterior is divided and
-    multiplied before the arms are taken, which keeps every arm's bits
-    independent of which others are asked for.
+    which the evidence is impossible.  P(evidence) is the prior-weighted sum
+    of the arms' masses, so when `infer` finds it zero every arm's mass is 0.
+    The whole posterior is divided and multiplied before the arms are taken,
+    which keeps every arm's bits independent of which others are asked for.
     """
-    joint = infer(net, (treatment, outcome), dict(evidence))
+    try:
+        joint = infer(net, (treatment, outcome), dict(evidence))
+    except ZeroEvidenceProbability:
+        joint = np.zeros((net.scheme.cardinality(treatment), len(values)))
     mass = joint.sum(axis=1)
     for arm in arms:
         if not mass[arm] > 0:

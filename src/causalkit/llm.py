@@ -135,21 +135,16 @@ def transcript_line(prompt: str, completion: str, t: float) -> str:
 class ElicitationTranscript:
     exchanges: tuple[tuple[str, str, float], ...] = ()
     drafts: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = ()
-    diffs: tuple[dict, ...] = ()
 
     def with_exchange(self, prompt, completion):
         return replace(
             self, exchanges=self.exchanges + ((prompt, completion, time.time()),)
         )
 
-    def with_draft(self, edges, diff=None):
+    def with_draft(self, edges):
         label = f"V{len(self.drafts) + 1}"
         draft = (label, tuple(sorted(edges)))
-        return replace(
-            self,
-            drafts=self.drafts + (draft,),
-            diffs=self.diffs + (diff or {},),
-        )
+        return replace(self, drafts=self.drafts + (draft,))
 
     @property
     def latest_draft(self):
@@ -220,7 +215,7 @@ _MARKERS = (
     (re.compile(r"can\s+(?:also\s+)?indicate(?:\s+the)?", re.I), "affect", False),
     (re.compile(r"do(?:es)?\s+not\s+cause", re.I), "suppress", False),
     (re.compile(r"which\s+in\s+turn\s+influences", re.I), "affect", True),
-    (re.compile(r"(?<!turn )influences", re.I), "affect", False),
+    (re.compile(r"influences", re.I), "affect", False),
 )
 
 _IGNORED_TOKENS = {"NSCLC"}
@@ -320,14 +315,6 @@ def parse_adjacency_response(completion: str, scheme: VariableScheme):
         ) from None
 
 
-def _edge_diff(old, new) -> dict:
-    old, new = set(old), set(new)
-    return {
-        "added": sorted(new - old),
-        "removed": sorted(old - new),
-    }
-
-
 def refine(
     session: ElicitationTranscript,
     correction: str,
@@ -335,7 +322,7 @@ def refine(
     scheme: VariableScheme,
 ) -> ElicitationTranscript:
     """One correction turn: prompt with the latest draft's edges as context,
-    parse the reply into the next draft, record the edge diff.
+    parse the reply into the next draft.
 
     On a cyclic or unparseable reply the session is returned unchanged past
     its last valid draft (the exception propagates)."""
@@ -345,8 +332,7 @@ def refine(
     prompt = render_refine_prompt(correction, current_edges, scheme)
     completion = backend.send(prompt)
     dag, _ = parse_adjacency_response(completion, scheme)
-    diff = _edge_diff(current_edges, dag.edges)
-    return session.with_exchange(prompt, completion).with_draft(dag.edges, diff)
+    return session.with_exchange(prompt, completion).with_draft(dag.edges)
 
 
 def elicit_graph(strategy: str, scheme: VariableScheme, backend):

@@ -213,19 +213,18 @@ def learn_skeleton(
 
     level = 0
     while level <= max_cond_size:
-        snapshot = {v: frozenset(adj[v]) for v in adj}
-        if all(len(snapshot[v]) - 1 < level for v in snapshot):
+        if all(len(adj[v]) - 1 < level for v in adj):
             break
         removals = []
         computed = 0
         for x, y in combinations(range(n), 2):
             if y not in adj[x]:
                 continue
-            conds = list(combinations(sorted(snapshot[x] - {y}), level))
+            conds = list(combinations(sorted(adj[x] - {y}), level))
             listed = set(conds)
             conds += [
                 c
-                for c in combinations(sorted(snapshot[y] - {x}), level)
+                for c in combinations(sorted(adj[y] - {x}), level)
                 if c not in listed
             ]
             tested = 0
@@ -306,7 +305,7 @@ def _meek_implies(a, b, directed, undirected, adj) -> bool:
     return (
         # R1: c -> a, a - b, c and b nonadjacent  =>  a -> b
         any(
-            (c, a) in directed and b not in adj[c] and c != b
+            (c, a) in directed and b not in adj[c]
             for c in adj[a]
         )
         # R2: a -> c -> b with a - b  =>  a -> b

@@ -396,10 +396,12 @@ def test_criterion_6_llm_pipeline_fidelity():
 
     prompts_ok = len(pairwise_prompts(nsclc.SCHEME)) == 153
 
-    session = fixtures.run_refinement_session()
-    name = lambda e: (names[e[0]], names[e[1]])
-    v3_added = {name(e) for e in session.diffs[2]["added"]}
-    v5_added = {name(e) for e in session.diffs[4]["added"]}
+    drafts = [
+        {(names[u], names[v]) for u, v in draft}
+        for _, draft in fixtures.run_refinement_session().drafts
+    ]
+    v3_added = drafts[2] - drafts[1]
+    v5_added = drafts[4] - drafts[3]
     diffs_ok = (
         all(("STAGEGROUP", g) in v3_added and ("SMOKING", g) in v3_added
             for g in nsclc.GENES)

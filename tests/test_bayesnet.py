@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from causalkit.bayesnet import (
 from causalkit.data import CategoricalDataset, contingency_counts
 from causalkit.errors import (
     CardinalityMismatch,
+    StateSpaceTooLarge,
     UnknownVariable,
     UnparameterizedNetwork,
     ZeroEvidenceProbability,
@@ -232,6 +234,23 @@ class TestInference:
             variable_elimination(net, ["X0"], {"X1": "1"})
         with pytest.raises(ZeroEvidenceProbability):
             brute_force_query(net, ["X0"], {"X1": "1"})
+
+    # 2**64 entries read 0 as an int64 product.
+    @pytest.mark.parametrize("n", [25, 64])
+    def test_brute_force_refuses_large_joint_before_allocating(self, n):
+        scheme = binary_scheme(n)
+        uniform = np.array([[0.5, 0.5]])
+        net = BayesianNetwork(
+            Dag(scheme), {name: Cpd(name, (), uniform) for name in scheme.names}
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceTooLarge, match=f"joint has {2**n} entries"):
+                brute_force_query(net, ["X0"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the joint would take 8 * 2**n bytes
 
     def test_joint_query_matches_brute_force(self, confounded_net):
         ve = variable_elimination(confounded_net, ["Y", "M"])

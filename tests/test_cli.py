@@ -641,10 +641,13 @@ class TestElicit:
 
     def test_replay_file_flag(self, tmp_path):
         from causalkit import fixtures
+        from causalkit.llm import transcript_line
 
         replay = tmp_path / "replay.jsonl"
-        backend = fixtures.replay_backend()
-        fixtures.write_replay_file(replay, backend._exchanges)
+        exchanges = fixtures.replay_backend()._exchanges
+        replay.write_text(
+            "".join(transcript_line(p, c, 0.0) for p, c in exchanges.items())
+        )
         out = tmp_path / "graph.json"
         code = dispatch(
             [

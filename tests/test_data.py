@@ -129,6 +129,13 @@ class TestDataset:
         with pytest.raises(SchemaMismatch):
             CategoricalDataset(AB, np.array([[0, 3]]))
 
+    @pytest.mark.parametrize(
+        "rows", [[[0, 0, 0]], [[0]], [0, 0]], ids=["wide", "narrow", "1-d"]
+    )
+    def test_rows_of_wrong_width_rejected(self, rows):
+        with pytest.raises(SchemaMismatch, match=r"expected \(N, 2\)"):
+            CategoricalDataset(AB, np.array(rows))
+
     def test_rows_read_only(self):
         data = CategoricalDataset(AB, np.array([[0, 0]]))
         with pytest.raises(ValueError):

@@ -41,6 +41,10 @@ class TestScheme:
         with pytest.raises(ValueError):
             VariableScheme.of([("A", ("0", "1")), ("A", ("0", "1"))])
 
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="names must be nonempty"):
+            VariableScheme.of([("", ("0", "1"))])
+
     def test_single_state_rejected(self):
         with pytest.raises(ValueError):
             VariableScheme.of([("A", ("only",))])
@@ -229,6 +233,10 @@ class TestSerialization:
         s = VariableScheme.of([("A", ("0", "1")), ("B", ("0", "1"))])
         g = Pdag.from_names(s, undirected=[("A", "B")])
         assert '"A" -> "B" [dir=none];' in serialize_graph(g, "dot")
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown format 'yaml'"):
+            serialize_graph(Dag(VariableScheme.of([("A", ("0", "1"))])), "yaml")
 
     def test_dot_escapes_quote_and_backslash(self):
         s = VariableScheme.of([('a"b', ("0", "1")), ("c\\", ("0", "1"))])

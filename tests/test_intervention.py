@@ -154,8 +154,10 @@ class TestAte:
             "Y": Cpd("Y", ("T", "E"), np.full((4, 2), 0.5)),
         })
         for arm in "0", "1":
-            with pytest.raises(ZeroEvidenceProbability):
+            with pytest.raises(ZeroEvidenceProbability, match=rf"do\(T={arm}\)"):
                 ate(net, binary_query(arm, arm, {"E": "1"}))
+        with pytest.raises(ZeroEvidenceProbability, match=r"do\(T=1\)"):
+            ate(net, binary_query("1", "0", {"E": "1"}))
 
     def test_no_descendant_gives_zero(self, chain_net):
         # B has no descendants, so do(B) cannot move A.

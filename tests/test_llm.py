@@ -141,14 +141,21 @@ class TestAdjacencyParser:
         assert (chest, plan) not in dag.edges
 
     def test_overlapping_markers_count_once(self):
-        # Two spaces defeat the lone marker's "turn " lookbehind, so
-        # "influences" also matches inside the chain marker.
+        # The lone "influences" also matches inside the chain marker, which
+        # comes first in _MARKERS and so claims the span.
         text = "CHESTPAIN can indicate the STAGEGROUP, which in turn  influences the TREATMENTPLAN."
         dag, unparsed = parse_adjacency_response(text, SCHEME)
         chest, stage, plan = map(
             SCHEME.index, ("CHESTPAIN", "STAGEGROUP", "TREATMENTPLAN")
         )
         assert dag.edges == {(chest, stage), (stage, plan)}
+        assert unparsed == []
+
+    def test_turn_without_which_is_a_lone_marker(self):
+        dag, unparsed = parse_adjacency_response(
+            "SMOKING in turn influences the AGE.", SCHEME
+        )
+        assert dag.edges == {(SCHEME.index("SMOKING"), SCHEME.index("AGE"))}
         assert unparsed == []
 
     @pytest.mark.parametrize(
@@ -173,6 +180,14 @@ class TestAdjacencyParser:
         dag, _ = parse_adjacency_response("SMOKING can affect the +stage+.", scheme)
         assert dag.edges == {(0, 1)}
 
+    def test_longest_alias_claims_its_span(self):
+        # "chest pain" (CHESTPAIN's alias) contains the name PAIN.
+        scheme = VariableScheme.of(
+            [(name, ("a", "b")) for name in ("SMOKING", "CHESTPAIN", "PAIN")]
+        )
+        dag, _ = parse_adjacency_response("SMOKING can affect the chest pain.", scheme)
+        assert dag.edges == {(0, 1)}
+
 
 class TestReplayBackend:
     def test_hit_and_miss(self):
@@ -183,7 +198,9 @@ class TestReplayBackend:
 
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "replay.jsonl"
-        fixtures.write_replay_file(path, {"p1": "c1", "p2": "c2"})
+        path.write_text(
+            llm.transcript_line("p1", "c1", 0.0) + llm.transcript_line("p2", "c2", 0.0)
+        )
         backend = ReplayBackend.parse_jsonl(path.read_text())
         assert backend.send("p1") == "c1"
         assert backend.send("p2") == "c2"
@@ -310,17 +327,16 @@ class TestRefinement:
         assert final == set(nsclc.v5_edges())
 
     def test_diffs_record_stated_changes(self):
-        session = fixtures.run_refinement_session()
-        name = lambda e: (SCHEME.names[e[0]], SCHEME.names[e[1]])
-        v2_added = {name(e) for e in session.diffs[1]["added"]}
-        assert v2_added == {("AGE", "SMOKING")}
-        v3_added = {name(e) for e in session.diffs[2]["added"]}
-        assert ("SMOKING", "KRAS") in v3_added
-        assert ("STAGEGROUP", "EGFR") in v3_added
-        v3_removed = {name(e) for e in session.diffs[2]["removed"]}
-        assert ("KRAS", "STAGEGROUP") in v3_removed
-        v5_added = {name(e) for e in session.diffs[4]["added"]}
-        assert v5_added == {("TREATMENTPLAN", "SURVIVALMONTHS")}
+        drafts = [
+            {(SCHEME.names[u], SCHEME.names[v]) for u, v in edges}
+            for _, edges in fixtures.run_refinement_session().drafts
+        ]
+        v1, v2, v3, v4, v5 = drafts
+        assert v2 - v1 == {("AGE", "SMOKING")}
+        assert ("SMOKING", "KRAS") in v3 - v2
+        assert ("STAGEGROUP", "EGFR") in v3 - v2
+        assert ("KRAS", "STAGEGROUP") in v2 - v3
+        assert v5 - v4 == {("TREATMENTPLAN", "SURVIVALMONTHS")}
 
     def test_transcript_append_only(self):
         session = fixtures.run_refinement_session()
