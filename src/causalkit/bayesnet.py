@@ -172,8 +172,8 @@ def fit_cpds(
     P(j|i) = (n_ij + a/(N_i*N_j)) / (n_i + a/N_i); parent configurations
     never observed get the uniform distribution.
     """
-    if prior_ess <= 0:
-        raise ValueError("prior_ess must be positive")
+    if not 0 < prior_ess < math.inf:
+        raise ValueError("prior_ess must be positive and finite")
     cpds = {}
     for idx, name in enumerate(dag.scheme.names):
         parents = tuple(dag.scheme.names[p] for p in dag.parents(idx))

@@ -286,7 +286,7 @@ def _cmd_refine(args, scheme):
         for sign, edges in ("+", after - before), ("-", before - after):
             for u, v in sorted(edges):
                 print(f"  {sign} {scheme.names[u]} -> {scheme.names[v]}")
-    _, edges = session.latest_draft
+    _, edges = session.drafts[-1]
     _write(args.out_graph, serialize_graph(Dag(scheme, frozenset(edges)), "json"))
     _write_transcript(args, session)
 
@@ -336,13 +336,14 @@ def _score_table(args, scheme, paths) -> str:
         if Path(first).resolve() != Path(path).resolve():
             raise ToolkitError(f"{first} and {path} would share column {stem!r}")
     data = _load_dataset(args.data, scheme)
+    ess_values = sorted(set(args.ess))
     reports = {}
     for stem, path in files.items():
         graph = _load_dag(path, scheme, "scoring")
         reports[stem] = [
-            bdeu_total(graph, data, ess, args.variant) for ess in args.ess
+            bdeu_total(graph, data, ess, args.variant) for ess in ess_values
         ]
-    return score_table(reports)
+    return score_table(ess_values, reports)
 
 
 def _cmd_score(args, scheme):

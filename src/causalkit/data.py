@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +57,10 @@ class CountTable:
     """Counts n_ij of child states per parent configuration.
 
     Parent configurations enumerate the Cartesian product of parent state
-    spaces in row-major order over the stated parent order.
+    spaces in row-major order over the parent order given to contingency_counts.
     """
 
-    child: str
-    parents: tuple[str, ...]
     n_ij: np.ndarray
-    child_card: int
-    parent_cards: tuple[int, ...]
 
     @functools.cached_property
     def n_i(self) -> np.ndarray:
@@ -78,6 +75,10 @@ class CountTable:
     @property
     def n_configs(self) -> int:
         return self.n_ij.shape[0]
+
+    @property
+    def child_card(self) -> int:
+        return self.n_ij.shape[1]
 
     @functools.cached_property
     def histogram(self) -> np.ndarray:
@@ -114,21 +115,16 @@ def row_sums(table: np.ndarray) -> np.ndarray:
     return sums
 
 
-def load_csv(source, scheme: VariableScheme):
-    """Parse a CSV byte/text stream into a CategoricalDataset.
+def load_csv(text: str, scheme: VariableScheme):
+    """Parse CSV text into a CategoricalDataset.
 
     A cell that is a state label is that state.  Any other cell of a column
-    in nsclc.NUMERIC_BINS is read as a number and binned; elsewhere it is an
-    error.  Rows with missing values in any scheme column are dropped, after
-    all their cells are read; the drop count is returned alongside the
-    dataset.
+    in nsclc.NUMERIC_BINS that reads as a finite number is binned; any other
+    cell is an error.  Rows with missing values in any scheme column are
+    dropped, after all their cells are read; the drop count is returned
+    alongside the dataset.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    source = io.StringIO(source)
-    reader = csv.reader(source)
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
@@ -174,7 +170,7 @@ def load_csv(source, scheme: VariableScheme):
 
 def _encode_cell(cell, name, scheme):
     """The state of a stripped cell, or None when it is missing.  A state label
-    is that state; any other cell of a column in NUMERIC_BINS is binned."""
+    is that state; a finite number in a column of NUMERIC_BINS is binned."""
     if is_missing(cell):
         return None
     states = scheme.states(name)
@@ -184,8 +180,8 @@ def _encode_cell(cell, name, scheme):
         try:
             value = float(cell)
         except ValueError:
-            pass
-        else:
+            value = math.nan
+        if math.isfinite(value):
             state = int(np.searchsorted(NUMERIC_BINS[name], value, side="right"))
             if state >= scheme.cardinality(name):
                 raise SchemaMismatch(
@@ -234,13 +230,11 @@ def contingency_counts(
     table = data._counts.get((child, parents))
     if table is not None:
         return table
-    child_card = data.scheme.cardinality(child)
-    parent_cards = tuple(data.scheme.cardinality(p) for p in parents)
-    shape = parent_cards + (child_card,)
+    shape = tuple(data.scheme.cardinality(v) for v in (*parents, child))
     flat = np.ravel_multi_index([data.column(v) for v in (*parents, child)], shape)
     counts = np.bincount(flat, minlength=int(np.prod(shape)))
-    n_ij = counts.reshape(-1, child_card)
+    n_ij = counts.reshape(-1, shape[-1])
     n_ij.setflags(write=False)
-    table = CountTable(child, parents, n_ij, child_card, parent_cards)
+    table = CountTable(n_ij)
     data._counts[child, parents] = table
     return table

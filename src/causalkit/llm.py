@@ -146,10 +146,6 @@ class ElicitationTranscript:
         draft = (label, tuple(sorted(edges)))
         return replace(self, drafts=self.drafts + (draft,))
 
-    @property
-    def latest_draft(self):
-        return self.drafts[-1] if self.drafts else None
-
     def to_jsonl(self) -> str:
         return "".join(itertools.starmap(transcript_line, self.exchanges))
 
@@ -326,9 +322,9 @@ def refine(
 
     On a cyclic or unparseable reply the session is returned unchanged past
     its last valid draft (the exception propagates)."""
-    if session.latest_draft is None:
+    if not session.drafts:
         raise ValueError("refine needs a session with at least one draft")
-    _, current_edges = session.latest_draft
+    _, current_edges = session.drafts[-1]
     prompt = render_refine_prompt(correction, current_edges, scheme)
     completion = backend.send(prompt)
     dag, _ = parse_adjacency_response(completion, scheme)

@@ -11,6 +11,7 @@ scaling-and-squaring Pade implementation (expm).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,13 @@ class NotearsConfig:
     l1_penalty: float = 0.1
 
     def __post_init__(self):
-        if min(self.max_iter, self.h_tol, self.w_threshold) <= 0 or self.l1_penalty < 0:
-            raise ValueError("config values must be positive")
-        if self.h_tol >= 1:
-            raise ValueError("h_tol must be < 1")
+        # Written so that NaN fails too.
+        if not (0 < self.max_iter < math.inf and 0 < self.w_threshold < math.inf):
+            raise ValueError("max_iter and w_threshold must be positive and finite")
+        if not 0 <= self.l1_penalty < math.inf:
+            raise ValueError("l1_penalty must be non-negative and finite")
+        if not 0 < self.h_tol < 1:
+            raise ValueError("h_tol must be in (0, 1)")
 
 
 @dataclass(frozen=True)

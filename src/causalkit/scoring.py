@@ -19,7 +19,6 @@ VARIANTS = ("paper", "canonical")
 class ScoreReport:
     per_node: dict[str, float]
     total: float
-    ess: float
 
 
 def bdeu_family_paper(counts: CountTable, alpha: float) -> float:
@@ -30,8 +29,8 @@ def bdeu_family_paper(counts: CountTable, alpha: float) -> float:
     smoothing term keeps every log argument strictly positive.  An unobserved
     configuration adds -a * ln(N_j); the rest is read from `counts.histogram`.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     n_i, n_ij, m = counts.histogram
     r = counts.child_card
     smoothed = n_ij + alpha / r
@@ -47,8 +46,8 @@ def bdeu_family_canonical(counts: CountTable, alpha: float) -> float:
     states: alpha_ij = alpha / (N_i * N_j).  Empty cells and unobserved
     configurations add 0; each cell carries 1/N_j of its configuration's term.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     m = counts.histogram[2]
     r = counts.child_card
     a_i = alpha / counts.n_configs
@@ -86,18 +85,14 @@ def bdeu_total(
         counts = contingency_counts(data, name, parents)
         per_node[name] = _FAMILY[variant](counts, alpha)
     total = sum(per_node.values())
-    return ScoreReport(per_node, total, alpha)
+    return ScoreReport(per_node, total)
 
 
-def score_table(reports_by_graph: dict[str, list[ScoreReport]]) -> str:
-    """Aligned text table: one row per ESS value, one column per graph."""
-    names = list(reports_by_graph)
-    ess_values = sorted({r.ess for rs in reports_by_graph.values() for r in rs})
-    rows = [["Equivalent sample Size"] + names]
-    for ess in ess_values:
-        row = [f"{ess:g}"]
-        for name in names:
-            match = [r for r in reports_by_graph[name] if r.ess == ess]
-            row.append(f"{match[0].total:.2f}" if match else "-")
-        rows.append(row)
+def score_table(ess_values, reports_by_graph: dict[str, list[ScoreReport]]) -> str:
+    """Aligned text table: one row per ESS value, one column per graph.  Row k
+    holds each graph's k-th report, its score at the k-th ESS value."""
+    rows = [["Equivalent sample Size", *reports_by_graph]]
+    for k, ess in enumerate(ess_values):
+        totals = [f"{reports[k].total:.2f}" for reports in reports_by_graph.values()]
+        rows.append([f"{ess:g}", *totals])
     return text_table(rows)

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,13 @@ class TestFitCpds:
         data = CategoricalDataset(scheme, np.array([[0, 0]]))
         with pytest.raises(ValueError):
             fit_cpds(Dag(scheme), data, 0.0)
+
+    @pytest.mark.parametrize("ess", [math.nan, math.inf])
+    def test_non_finite_ess_rejected(self, ess):
+        scheme = binary_scheme(2)
+        data = CategoricalDataset(scheme, np.array([[0, 0]]))
+        with pytest.raises(ValueError, match="prior_ess must be positive and finite"):
+            fit_cpds(Dag(scheme), data, ess)
 
     def test_filled_count_memo_gives_identical_tables(self):
         scheme = binary_scheme(4)

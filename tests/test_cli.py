@@ -800,6 +800,22 @@ class TestScoreFitAte:
         header = capsys.readouterr().out.splitlines()[0]
         assert "v1" in header and "v5" in header
 
+    @pytest.mark.parametrize("command", ["score", "compare"])
+    def test_ess_rows_are_sorted_and_distinct(self, workdir, capsys, command):
+        v1, v5 = workdir / "v1.json", workdir / "v5.json"
+        v5.write_text(serialize_graph(nsclc.v5_dag(), "json"))
+        graphs = ["--graph", str(v1)]
+        if command == "compare":
+            graphs = ["--graphs", str(v1), str(v5)]
+        data = ["--data", str(workdir / "data.csv")]
+        printed = []
+        for ess in ("15,5,5", "5,15"):
+            argv = [command, *graphs, *data, "--ess", ess]
+            assert dispatch(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert [line.split()[0] for line in printed[0].splitlines()[1:]] == ["5", "15"]
+
     def test_compare_rejects_two_graph_files_with_one_stem(self, workdir, capsys):
         # One column per stem: b/g.json's scores would stand in for a/g.json's.
         first, second = workdir / "a" / "g.json", workdir / "b" / "g.json"

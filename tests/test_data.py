@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +32,8 @@ class TestLoadCsv:
         assert dropped == 0
         assert data.rows.tolist() == [[0, 0], [1, 2]]
 
-    def test_bytes_and_column_reorder(self):
-        data, _ = load_csv(b"B,A\ny,hi\n", AB)
+    def test_column_reorder(self):
+        data, _ = load_csv("B,A\ny,hi\n", AB)
         assert data.rows.tolist() == [[1, 1]]
 
     def test_missing_rows_dropped_and_counted(self):
@@ -100,6 +102,15 @@ class TestLoadCsv:
         scheme = VariableScheme.of([("AGE", ("young", "old"))])
         with pytest.raises(SchemaMismatch, match="AGE: bin spec yields 2, cardinality 2"):
             load_csv("AGE\n80\n", scheme)
+
+    @pytest.mark.parametrize(
+        "cell", ["inf", "Infinity", "-inf", "-Infinity", "-nan", "+nan", "1e999"]
+    )
+    def test_non_finite_number_is_an_unmapped_label(self, cell):
+        scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])
+        message = re.escape(f"AGE: unmapped state label '{cell}'")
+        with pytest.raises(SchemaMismatch, match=message):
+            load_csv(f"AGE\n70\n{cell}\n", scheme)
 
     def test_prebinned_label_accepted_for_numeric_column(self):
         scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])
@@ -216,8 +227,6 @@ class TestContingency:
         data = CategoricalDataset(scheme, rows)
         ab = contingency_counts(data, "C", ("A", "B"))
         ba = contingency_counts(data, "C", ("B", "A"))
-        assert (ab.parents, ba.parents) == (("A", "B"), ("B", "A"))
-        assert ab.parent_cards == (2, 3) and ba.parent_cards == (3, 2)
         expected_ab, expected_ba = np.zeros((6, 2)), np.zeros((6, 2))
         for a, b, c in rows:
             expected_ab[a * 3 + b, c] += 1

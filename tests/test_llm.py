@@ -262,13 +262,13 @@ class TestElicitation:
             ("TREATMENTPLAN", "SURVIVALMONTHS"),
         }
         assert len(transcript.exchanges) == 153
-        assert transcript.latest_draft[0] == "V1"
+        assert transcript.drafts[-1][0] == "V1"
 
     def test_single_yields_v1(self):
         backend = fixtures.replay_backend()
         dag, transcript = elicit_graph("single", SCHEME, backend)
         assert dag.edges == nsclc.v1_dag().edges
-        assert transcript.latest_draft[0] == "V1"
+        assert transcript.drafts[-1][0] == "V1"
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -307,7 +307,7 @@ class TestElicitation:
         dag, transcript = elicit_graph("pairwise", scheme, backend)
         assert dag.edges == {(0, 1), (2, 0)}
         assert [c for _, c, _ in transcript.exchanges] == ["Yes, it does."] * 3
-        assert transcript.latest_draft == ("V1", ((0, 1), (2, 0)))
+        assert transcript.drafts[-1] == ("V1", ((0, 1), (2, 0)))
 
     def test_pairwise_miss_in_both_orders_raises(self):
         scheme = VariableScheme.of([(n, ("0", "1")) for n in "AB"])
@@ -322,7 +322,7 @@ class TestRefinement:
         assert labels == ["V1", "V2", "V3", "V4", "V5"]
         final = {
             (SCHEME.names[u], SCHEME.names[v])
-            for u, v in session.latest_draft[1]
+            for u, v in session.drafts[-1][1]
         }
         assert final == set(nsclc.v5_edges())
 
@@ -349,7 +349,7 @@ class TestRefinement:
 
     def test_final_draft_is_acyclic_dag(self):
         session = fixtures.run_refinement_session()
-        Dag(SCHEME, frozenset(session.latest_draft[1]))  # must not raise
+        Dag(SCHEME, frozenset(session.drafts[-1][1]))  # must not raise
 
 
 class TestNsclcDrafts:

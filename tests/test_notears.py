@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,12 @@ class TestConfig:
             NotearsConfig(l1_penalty=-0.1)
         with pytest.raises(ValueError):
             NotearsConfig(h_tol=2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["max_iter", "h_tol", "w_threshold", "l1_penalty"])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NotearsConfig(**{field: value})
 
 
 class TestFit:

@@ -221,6 +221,13 @@ class TestTotals:
         with pytest.raises(ValueError):
             bdeu_total(dag, data, 5.0, "bogus")
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_finite_alpha_rejected(self, variant, alpha):
+        dag, data = self._random_case(0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            bdeu_total(dag, data, alpha, variant)
+
 
 class TestSparseWideTables:
     """Several parents of cardinality 3-4 over few rows: most parent
@@ -309,14 +316,17 @@ class TestScoreTable:
         rng = np.random.default_rng(0)
         data = CategoricalDataset(scheme, rng.integers(0, 2, size=(50, 2)))
         dag = Dag.from_names(scheme, [("X0", "X1")])
+        ess_values = (5.0, 10.0, 15.0)
         reports = {
-            "g1": [bdeu_total(dag, data, e) for e in (5.0, 10.0, 15.0)],
-            "g2": [bdeu_total(Dag(scheme), data, e) for e in (5.0, 10.0)],
+            "g1": [bdeu_total(dag, data, e) for e in ess_values],
+            "g2": [bdeu_total(Dag(scheme), data, e) for e in ess_values],
         }
-        text = score_table(reports)
+        text = score_table(ess_values, reports)
         lines = text.splitlines()
         assert lines[0].startswith("Equivalent sample Size")
         assert "g1" in lines[0] and "g2" in lines[0]
         assert len(lines) == 4
         assert lines[1].startswith("5")
-        assert lines[3].split()[-1] == "-"  # g2 has no ess=15 entry
+        assert lines[3].split() == [
+            "15", *(f"{reports[g][2].total:.2f}" for g in ("g1", "g2"))
+        ]
