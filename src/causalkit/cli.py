@@ -25,10 +25,10 @@ from .graph import (
 
 
 def _read(path, parse):
-    """parse(text of the file at path); a file that cannot be read, decoded
-    or parsed is a data error that names the file."""
+    """parse(text of the UTF-8 file at path, less any byte-order mark); a file
+    that cannot be read, decoded or parsed is a data error that names the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return parse(fh.read())
     except OSError as exc:
         raise ToolkitError(f"{path}: {exc.strerror}") from None

@@ -6,6 +6,7 @@ import csv
 import functools
 import io
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,19 +169,20 @@ def load_csv(text: str, scheme: VariableScheme):
     return CategoricalDataset(scheme, np.array(encoded, dtype=np.int64)), dropped
 
 
+# A plain decimal number in ASCII digits: no digit separators, no other script.
+_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+
+
 def _encode_cell(cell, name, scheme):
     """The state of a stripped cell, or None when it is missing.  A state label
-    is that state; a finite number in a column of NUMERIC_BINS is binned."""
+    is that state; a finite plain number in a column of NUMERIC_BINS is binned."""
     if is_missing(cell):
         return None
     states = scheme.states(name)
     if cell in states:
         return states.index(cell)
-    if name in NUMERIC_BINS:
-        try:
-            value = float(cell)
-        except ValueError:
-            value = math.nan
+    if name in NUMERIC_BINS and _NUMBER.fullmatch(cell):
+        value = float(cell)
         if math.isfinite(value):
             state = int(np.searchsorted(NUMERIC_BINS[name], value, side="right"))
             if state >= scheme.cardinality(name):

@@ -124,6 +124,20 @@ def _smallest_first_order(children) -> list[int]:
     return order
 
 
+def reaches(edges, source: int, target: int) -> bool:
+    """Whether the (tail, head) pairs `edges` lead from source to target, by
+    depth-first search; edge (u, v) would close a cycle iff v reaches u."""
+    seen, stack = set(), [source]
+    while stack:
+        u = stack.pop()
+        if u == target:
+            return True
+        if u not in seen:
+            seen.add(u)
+            stack += [head for tail, head in edges if tail == u]
+    return False
+
+
 @dataclass(frozen=True)
 class Dag:
     """Acyclic digraph over a scheme.  Immutable; use add/remove for new values."""
@@ -164,13 +178,12 @@ class Dag:
         u, v = self.scheme.resolve(parent), self.scheme.resolve(child)
         if u == v:
             raise CycleError(f"self-loop on {self.scheme.names[u]}")
-        try:
-            return Dag(self.scheme, self.edges | {(u, v)})
-        except CycleError:
+        if reaches(self.edges, v, u):
             raise CycleError(
                 f"adding {self.scheme.names[u]} -> {self.scheme.names[v]} "
                 "would create a directed cycle"
-            ) from None
+            )
+        return Dag(self.scheme, self.edges | {(u, v)})
 
     def remove(self, parent, child) -> "Dag":
         u, v = self.scheme.resolve(parent), self.scheme.resolve(child)

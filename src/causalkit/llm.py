@@ -24,7 +24,7 @@ from .errors import (
     SchemaMismatch,
     VariableAliasUnknown,
 )
-from .graph import Dag, VariableScheme
+from .graph import Dag, VariableScheme, reaches
 from .nsclc import DISPLAY_NAMES, SYMPTOMS, VARIABLE_ALIASES
 
 
@@ -335,7 +335,7 @@ def elicit_graph(strategy: str, scheme: VariableScheme, backend):
     """Run one elicitation session; returns (Dag, ElicitationTranscript)."""
     transcript = ElicitationTranscript()
     if strategy == "pairwise":
-        dag = Dag(scheme)
+        edges: set[tuple[int, int]] = set()
         for cause, effect, prompt in pairwise_prompts(scheme):
             try:
                 completion = backend.send(prompt)
@@ -345,13 +345,11 @@ def elicit_graph(strategy: str, scheme: VariableScheme, backend):
                 prompt = render_pairwise_prompt(cause, effect)
                 completion = backend.send(prompt)
             transcript = transcript.with_exchange(prompt, completion)
-            if parse_verdict(completion) == "yes":
-                try:
-                    dag = dag.add(cause, effect)
-                except CycleError:
-                    pass  # skipped; the draft stays acyclic
-        transcript = transcript.with_draft(dag.edges)
-        return dag, transcript
+            u, v = scheme.index(cause), scheme.index(effect)
+            # A "yes" that would close a cycle is skipped; the draft stays acyclic.
+            if parse_verdict(completion) == "yes" and not reaches(edges, v, u):
+                edges.add((u, v))
+        return Dag(scheme, frozenset(edges)), transcript.with_draft(edges)
     if strategy == "single":
         prompt = render_single_prompt(scheme)
         completion = backend.send(prompt)

@@ -20,7 +20,7 @@ import scipy.optimize as sopt
 
 from .data import CategoricalDataset
 from .errors import ShapeError
-from .graph import Dag, VariableScheme
+from .graph import Dag, VariableScheme, reaches
 
 log = logging.getLogger(__name__)
 
@@ -201,17 +201,9 @@ def notears_fit(
 
 def _weakest_cycle_edge(w: np.ndarray):
     """Smallest-|weight| edge among those on a cycle, or None if acyclic."""
-    support = w != 0
-    d = w.shape[0]
-    reach = support | np.eye(d, dtype=bool)
-    for _ in range(d):
-        reach = reach | (reach @ reach)
-    candidates = [
-        (abs(w[u, v]), u, v)
-        for u, v in zip(*np.nonzero(support))
-        if reach[v, u]
-    ]
+    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(w))]
+    candidates = [(abs(w[u, v]), u, v) for u, v in edges if reaches(edges, v, u)]
     if not candidates:
         return None
     _, u, v = min(candidates)
-    return int(u), int(v)
+    return u, v

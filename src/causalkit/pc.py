@@ -16,8 +16,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .data import CategoricalDataset
-from .errors import CycleError, InsufficientData
-from .graph import Dag, Pdag, VariableScheme
+from .errors import InsufficientData
+from .graph import Dag, Pdag, VariableScheme, reaches
 
 log = logging.getLogger(__name__)
 
@@ -272,18 +272,18 @@ def orient_v_structures(skeleton: Pdag, sepsets: SepsetMap) -> Pdag:
             if sep is not None and z not in sep:
                 proposals.add((x, z))
                 proposals.add((y, z))
-    dag = Dag(skeleton.scheme)
+    oriented: set[tuple[int, int]] = set()
     for u, v in proposals:
         if (v, u) not in proposals:
-            try:
-                dag = dag.add(u, v)
-            except CycleError:
+            if reaches(oriented, v, u):
                 log.warning(
                     "collider orientation (%d, %d) would close a directed cycle; "
                     "kept undirected",
                     u,
                     v,
                 )
+            else:
+                oriented.add((u, v))
         elif u < v:  # one warning per edge, not one per direction
             log.warning(
                 "conflicting collider orientations on edge (%d, %d); "
@@ -291,8 +291,8 @@ def orient_v_structures(skeleton: Pdag, sepsets: SepsetMap) -> Pdag:
                 u,
                 v,
             )
-    undirected = skeleton.skeleton_pairs() - {frozenset(e) for e in dag.edges}
-    return Pdag(skeleton.scheme, dag.edges, frozenset(undirected))
+    undirected = skeleton.skeleton_pairs() - {frozenset(e) for e in oriented}
+    return Pdag(skeleton.scheme, frozenset(oriented), frozenset(undirected))
 
 
 def _meek_implies(a, b, directed, undirected, adj) -> bool:
@@ -337,8 +337,8 @@ def meek_closure(pdag: Pdag, acyclic: bool = False) -> Pdag:
     trying both directions, that R1-R4 imply.  Meek's rules are sound only
     for a consistent pattern; on colliders from sampled data they can close
     a directed cycle.  With `acyclic=True` (as pc_run uses it) the directed
-    edges must form a Dag (else CycleError), and a step the Dag refuses stays
-    undirected, is skipped from then on, and a warning is logged.
+    edges must form a Dag (else CycleError), and a step whose head reaches its
+    tail stays undirected, is skipped from then on, and a warning is logged.
     """
     directed = set(pdag.directed)
     undirected = set(pdag.undirected)
@@ -354,10 +354,7 @@ def meek_closure(pdag: Pdag, acyclic: bool = False) -> Pdag:
         ),
         None,
     ):
-        try:
-            if acyclic:
-                Dag(pdag.scheme, frozenset(directed | {step}))
-        except CycleError:
+        if acyclic and reaches(directed, step[1], step[0]):
             log.warning(
                 "orienting (%d, %d) would close a directed cycle; kept undirected",
                 *step,

@@ -599,6 +599,23 @@ class TestIngestAndSample:
         assert code == 0
         assert out.read_text() == (workdir / "data.csv").read_text()
 
+    def test_byte_order_mark_is_read_as_encoding(self, workdir, capsys, monkeypatch):
+        # Spreadsheets save "CSV UTF-8" with a UTF-8 byte-order mark first.
+        text = (workdir / "data.csv").read_bytes()
+        streams, written = [], []
+        for mark in (b"", "\ufeff".encode()):
+            run = workdir / ("marked" if mark else "plain")
+            run.mkdir()
+            (run / "data.csv").write_bytes(mark + text)
+            (run / "config.json").write_bytes(mark + b'{"out": "out.csv"}')
+            monkeypatch.chdir(run)
+            argv = ["--config", "config.json", "ingest", "--csv", "data.csv"]
+            assert dispatch(argv) == 0
+            streams.append(capsys.readouterr())
+            written.append((run / "out.csv").read_bytes())
+        assert streams[0] == streams[1]
+        assert written[0] == written[1] == text
+
     def test_sample_from_network_file(self, tmp_path):
         net_path = tmp_path / "net.json"
         net_path.write_text(reference_network().to_json())

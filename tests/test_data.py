@@ -95,8 +95,9 @@ class TestLoadCsv:
 
     def test_numeric_discretization(self):
         scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])
-        data, _ = load_csv("AGE\n40\n65\n74.9\n75\n90\n", scheme)
-        assert data.column("AGE").tolist() == [0, 1, 1, 2, 2]
+        text = "AGE\n40\n65\n74.9\n75\n90\n 70 \n70.5\n1e2\n-3\n+.5E2\n75.\n"
+        data, _ = load_csv(text, scheme)
+        assert data.column("AGE").tolist() == [0, 1, 1, 2, 2, 1, 1, 2, 0, 0, 2]
 
     def test_bin_beyond_the_cardinality_rejected(self):
         scheme = VariableScheme.of([("AGE", ("young", "old"))])
@@ -109,6 +110,16 @@ class TestLoadCsv:
     def test_non_finite_number_is_an_unmapped_label(self, cell):
         scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])
         message = re.escape(f"AGE: unmapped state label '{cell}'")
+        with pytest.raises(SchemaMismatch, match=message):
+            load_csv(f"AGE\n70\n{cell}\n", scheme)
+
+    @pytest.mark.parametrize(
+        "cell", ["6_9", "1_000", "1_0.5", "\u0668\u0660", "\uff17\uff10"]
+    )
+    def test_only_plain_ascii_numbers_are_binned(self, cell):
+        # float() reads each of these, but none is a plain ASCII number.
+        scheme = VariableScheme.of([("AGE", ("<65", "65-75", ">=75"))])
+        message = re.escape(f"AGE: unmapped state label {cell!r}")
         with pytest.raises(SchemaMismatch, match=message):
             load_csv(f"AGE\n70\n{cell}\n", scheme)
 

@@ -13,6 +13,7 @@ from causalkit.graph import (
     Pdag,
     VariableScheme,
     parse_graph_json,
+    reaches,
     serialize_graph,
 )
 
@@ -155,6 +156,32 @@ class TestIsAcyclic:
             except CycleError:
                 assert would_cycle
                 adj[u][v] = 0
+
+
+class TestReaches:
+    def test_follows_directed_paths_only(self):
+        edges = {(0, 1), (1, 2), (3, 2)}
+        assert reaches(edges, 0, 2) and reaches(edges, 3, 2)
+        assert not reaches(edges, 2, 0) and not reaches(edges, 0, 3)
+        assert reaches(set(), 4, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_an_edge_closes_a_cycle_iff_the_constructor_refuses_it(self, data):
+        # The Dag constructor's Kahn pass is the oracle.
+        n = data.draw(st.integers(2, 7))
+        rank = data.draw(st.permutations(range(n)))
+        forward = [(u, v) for u in range(n) for v in range(n) if rank[u] < rank[v]]
+        edges = frozenset(data.draw(st.lists(st.sampled_from(forward), max_size=15)))
+        scheme = binary_scheme(n)
+        Dag(scheme, edges)
+        for u, v in itertools.product(range(n), repeat=2):
+            try:
+                Dag(scheme, edges | {(u, v)})
+            except CycleError:
+                assert reaches(edges, v, u)
+            else:
+                assert not reaches(edges, v, u)
 
 
 class TestTopologicalOrder:

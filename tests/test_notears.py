@@ -31,6 +31,23 @@ def finite_difference(func, w, eps=1e-6):
     return grad
 
 
+def closure_weakest_cycle_edge(w):
+    """Reference repair step: an edge (u, v) is on a cycle iff v reaches u in
+    the reflexive-transitive closure of the support, found by squaring."""
+    support = w != 0
+    d = w.shape[0]
+    reach = support | np.eye(d, dtype=bool)
+    for _ in range(d):
+        reach = reach | (reach @ reach)
+    candidates = [
+        (abs(w[u, v]), u, v) for u, v in zip(*np.nonzero(support)) if reach[v, u]
+    ]
+    if not candidates:
+        return None
+    _, u, v = min(candidates)
+    return int(u), int(v)
+
+
 class TestAcyclicityH:
     def test_zero_matrix_is_zero(self):
         h, grad = acyclicity_h(np.zeros((5, 5)))
@@ -253,6 +270,22 @@ class TestFit:
         # The repair drops the weakest cycle edge (ties: lowest index), once.
         assert result.repaired_edges == ((0, 1),)
         assert result.dag.edges == {(1, 0)}
+
+
+class TestCycleRepair:
+    def test_same_repairs_as_the_matrix_closure(self):
+        repairs = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            # One decimal, so that many weights tie in |w|.
+            w = np.round(rng.normal(size=(8, 8)), 1) * (rng.random((8, 8)) < 0.6)
+            np.fill_diagonal(w, 0.0)
+            while (edge := notears._weakest_cycle_edge(w)) is not None:
+                assert edge == closure_weakest_cycle_edge(w), seed
+                w[edge] = 0.0
+                repairs += 1
+            assert closure_weakest_cycle_edge(w) is None
+        assert repairs > 4000
 
 
 class TestWeightedAdjacency:

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import os
 import subprocess
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalkit
-from causalkit import pc
+from causalkit import nsclc, pc
 from causalkit.data import CategoricalDataset
 from causalkit.errors import CycleError, InsufficientData
-from causalkit.graph import Dag, Pdag, VariableScheme
+from causalkit.graph import Dag, Pdag, VariableScheme, serialize_graph
 from causalkit.pc import (
     SepsetMap,
     ci_test_g2,
@@ -751,3 +752,67 @@ class TestCpdagAndShd:
         assert structural_hamming_distance(a, c) == 1  # orientation loss
         assert structural_hamming_distance(a, d) == 1  # deletion
         assert structural_hamming_distance(b, c) == 1
+
+
+def pin_digest(*parts: str) -> str:
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+def causalkit_lines(records) -> list[str]:
+    return [
+        f"{r.levelname} {r.name}: {r.getMessage()}\n"
+        for r in records
+        if r.name.startswith("causalkit")
+    ]
+
+
+def nsclc_random_dag(seed: int) -> Dag:
+    """A DAG over the NSCLC scheme: a random variable order, and each forward
+    pair kept with one probability drawn from U(0.05, 0.5)."""
+    rng = np.random.default_rng(seed)
+    n = len(nsclc.SCHEME)
+    order = rng.permutation(n)
+    keep = rng.uniform(0.05, 0.5)
+    return Dag(
+        nsclc.SCHEME,
+        frozenset(
+            (int(order[i]), int(order[j]))
+            for i, j in combinations(range(n), 2)
+            if rng.random() < keep
+        ),
+    )
+
+
+class TestOrientationPins:
+    """SHA-256 of PC's serialized output and its `causalkit` DEBUG and warning
+    lines, taken from the implementation that grew a `Dag` per proposed edge.
+    The three cohorts hold collider conflicts and a guarded-Meek refusal, so
+    the collider step, the closure and both guards are pinned byte for byte.
+    A changed digest is a changed output: mend the code, not the digest."""
+
+    @pytest.mark.parametrize(
+        "n, seed, depth, digest",
+        [
+            (1000, 12, None, "e2847eb6ec4c1c92cd6fedb5f5b4a960a87bb5cf73be8a867a10cdad2f15d29b"),
+            (10_000, 810448438, 2, "92ad4ad8ff1fffc2f72e76cfdafe6425a327afafb7b5759c4364f57e90f1cd3d"),
+            (10_000, 11, 3, "c782af117b1ab90dadb2466bc28e211a52b7a028ab1dc08d33e522f7e1829021"),
+        ],
+        ids=["n1000-seed12-full", "n10000-seed810448438-depth2", "n10000-seed11-depth3"],
+    )
+    def test_pc_run(self, n, seed, depth, digest, caplog):
+        data = sample_from_network(reference_network(7), n, seed)
+        with caplog.at_level(logging.DEBUG, logger="causalkit"):
+            out = pc_run(data, 0.05, depth)
+        lines = causalkit_lines(caplog.records)
+        assert pin_digest(serialize_graph(out), *lines) == digest
+
+    def test_dag_to_cpdag_on_300_random_dags(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="causalkit"):
+            texts = [
+                serialize_graph(dag_to_cpdag(nsclc_random_dag(seed)))
+                for seed in range(300)
+            ]
+        assert causalkit_lines(caplog.records) == []
+        assert pin_digest(*texts) == (
+            "3746c7c3fdf1e5715cbbc97b8fbbb12f99b45d85e1d1a49f5d6e903b3ed5c0d0"
+        )
