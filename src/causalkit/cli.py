@@ -311,15 +311,7 @@ def _cmd_discover(args, scheme):
             w_threshold=args.w_threshold,
             l1_penalty=args.l1,
         )
-        result = notears_fit(data, config)
-        graph = result.dag
-        if not graph.edges:
-            print(
-                "warning: NOTEARS learned 0 edges (largest |w| "
-                f"{abs(result.raw.w).max():.3g} is below --w-threshold "
-                f"{args.w_threshold:g})",
-                file=sys.stderr,
-            )
+        graph = notears_fit(data, config).dag
     fmt = "dot" if args.out.endswith(".dot") else "json"
     _write(args.out, serialize_graph(graph, fmt))
 
@@ -407,12 +399,15 @@ def _apply_config(parser, path):
                 raise ToolkitError(f"unknown config key {key!r}")
         return config
 
-    config = _read(path, parse)
+    actions = [(p, a) for p in (parser, *subparsers) for a in p._actions]
+    try:
+        config = _read(path, parse)
+    except ToolkitError:
+        for _, a in actions:
+            a.required = False  # the file could have stood in for any flag
+        raise
     given = [
-        (p, a)
-        for p in (parser, *subparsers)
-        for a in p._actions
-        if a.dest in config and (a.dest in top) == (p is parser)
+        (p, a) for p, a in actions if a.dest in config and (a.dest in top) == (p is parser)
     ]
     for _, a in given:
         a.required = False  # the file stands in for the flag
@@ -432,6 +427,8 @@ def _config_value(parser, action, value):
     else:
         form = "a list of strings"
         fits = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        if action.nargs == "+":  # one or more values
+            form, fits = "a nonempty list of strings", fits and bool(value)
     if not fits:
         raise argparse.ArgumentError(
             action, f"config value {json.dumps(value)} is not {form}"

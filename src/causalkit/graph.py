@@ -1,7 +1,7 @@
 """Directed and partially directed graphs over a fixed categorical variable scheme.
 
-Graphs are immutable values: every mutation returns a new graph and the
-input is left untouched.  A graph only makes sense relative to one
+Graphs are immutable values, built whole by their constructors, which
+check them.  A graph only makes sense relative to one
 VariableScheme; edges are stored as (parent index, child index) pairs into
 the scheme's variable order.
 """
@@ -140,7 +140,7 @@ def reaches(edges, source: int, target: int) -> bool:
 
 @dataclass(frozen=True)
 class Dag:
-    """Acyclic digraph over a scheme.  Immutable; use add/remove for new values."""
+    """Acyclic digraph over a scheme, immutable and built whole by its constructor."""
 
     scheme: VariableScheme
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -173,21 +173,6 @@ class Dag:
 
     def children(self, variable) -> tuple[int, ...]:
         return self._children[self.scheme.resolve(variable)]
-
-    def add(self, parent, child) -> "Dag":
-        u, v = self.scheme.resolve(parent), self.scheme.resolve(child)
-        if u == v:
-            raise CycleError(f"self-loop on {self.scheme.names[u]}")
-        if reaches(self.edges, v, u):
-            raise CycleError(
-                f"adding {self.scheme.names[u]} -> {self.scheme.names[v]} "
-                "would create a directed cycle"
-            )
-        return Dag(self.scheme, self.edges | {(u, v)})
-
-    def remove(self, parent, child) -> "Dag":
-        u, v = self.scheme.resolve(parent), self.scheme.resolve(child)
-        return Dag(self.scheme, self.edges - {(u, v)})
 
     def topological_order(self) -> list[int]:
         """Kahn's algorithm; ties broken by scheme index for determinism."""

@@ -205,13 +205,13 @@ def render_refine_prompt(correction: str, edges, scheme: VariableScheme) -> str:
     return f"{correction}\nCurrent edges: {edge_text}"
 
 
-_MARKERS = (
-    (re.compile(r"can\s+(?:also\s+)?affect(?:\s+the)?", re.I), "affect", False),
-    (re.compile(r"can\s+lead\s+to", re.I), "affect", False),
-    (re.compile(r"can\s+(?:also\s+)?indicate(?:\s+the)?", re.I), "affect", False),
-    (re.compile(r"do(?:es)?\s+not\s+cause", re.I), "suppress", False),
-    (re.compile(r"which\s+in\s+turn\s+influences", re.I), "affect", True),
-    (re.compile(r"influences", re.I), "affect", False),
+# One alternation: finditer claims markers leftmost first, none inside another.
+_MARKERS = re.compile(
+    r"(?P<chain>which\s+in\s+turn\s+influences)"
+    r"|(?P<suppress>do(?:es)?\s+not\s+cause)"
+    r"|(?P<affect>can\s+(?:also\s+)?(?:affect|indicate)(?:\s+the)?"
+    r"|can\s+lead\s+to|influences)",
+    re.I,
 )
 
 _IGNORED_TOKENS = {"NSCLC"}
@@ -261,13 +261,7 @@ def parse_adjacency_response(completion: str, scheme: VariableScheme):
     suppressed: set[tuple[int, int]] = set()
     unparsed: list[str] = []
     for sentence in sentences:
-        markers = []
-        for pattern, kind, anchored in _MARKERS:
-            for match in pattern.finditer(sentence):
-                if any(m[0] <= match.start() < m[1] for m in markers):
-                    continue
-                markers.append((match.start(), match.end(), kind, anchored))
-        markers.sort()
+        markers = list(_MARKERS.finditer(sentence))
         if not markers:
             unparsed.append(sentence)
             continue
@@ -275,19 +269,20 @@ def parse_adjacency_response(completion: str, scheme: VariableScheme):
         subjects = [
             name
             for start, end, names in variables
-            if end <= markers[0][0]
+            if end <= markers[0].start()
             for name in names
         ]
         got_edge = False
-        for k, (start, end, kind, anchored) in enumerate(markers):
-            limit = markers[k + 1][0] if k + 1 < len(markers) else len(sentence)
+        for k, marker in enumerate(markers):
+            start, kind = marker.start(), marker.lastgroup
+            limit = markers[k + 1].start() if k + 1 < len(markers) else len(sentence)
             objects = [
                 name
                 for vstart, vend, names in variables
                 if start < vstart and vend <= limit
                 for name in names
             ]
-            if anchored:
+            if kind == "chain":
                 before = [v for v in variables if v[1] <= start]
                 sources = list(before[-1][2]) if before else subjects
             else:

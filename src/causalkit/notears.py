@@ -190,6 +190,11 @@ def notears_fit(
     edges = frozenset(
         (int(u), int(v)) for u, v in zip(*np.nonzero(thresholded))
     )
+    if not edges:
+        log.warning(
+            "NOTEARS learned 0 edges (largest |w| %.3g is below w_threshold %g)",
+            np.abs(w).max(), config.w_threshold,
+        )
     return NotearsResult(
         raw=WeightedAdjacency(scheme, w),
         dag=Dag(scheme, edges),

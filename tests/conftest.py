@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 
 from causalkit.bayesnet import BayesianNetwork, Cpd
-from causalkit.graph import Dag, VariableScheme
+from causalkit.graph import Dag, VariableScheme, reaches
 
 
 def binary_scheme(n):
     return VariableScheme.of([(f"X{i}", ("0", "1")) for i in range(n)])
+
+
+def dag_from_insertions(scheme, pairs):
+    """The Dag of the (u, v) pairs taken in order, each kept unless it is a
+    self-loop or v already reaches u (it would close a directed cycle)."""
+    edges = set()
+    for u, v in pairs:
+        if u != v and not reaches(edges, v, u):
+            edges.add((u, v))
+    return Dag(scheme, frozenset(edges))
 
 
 @pytest.fixture

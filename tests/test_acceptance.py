@@ -29,24 +29,13 @@ from causalkit.scoring import bdeu_family_canonical, bdeu_family_paper, bdeu_tot
 from causalkit.synth import CohortSpec, generate_cohort, random_network, sample_from_network
 
 from conftest import binary_scheme
-from test_pc import strong_chain_net, strong_collider_net
+from test_pc import random_dag, strong_chain_net, strong_collider_net
 
 
 def report(number, passed, detail):
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {number}: {status} - {detail}", file=sys.__stdout__)
     assert passed, f"criterion {number}: {detail}"
-
-
-def random_dag_from(scheme, rng, density=0.35):
-    dag = Dag(scheme)
-    n = len(scheme)
-    perm = rng.permutation(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                dag = dag.add(int(perm[i]), int(perm[j]))
-    return dag
 
 
 def test_criterion_1_inference_oracle_equivalence():
@@ -56,7 +45,7 @@ def test_criterion_1_inference_oracle_equivalence():
     for trial in range(200):
         n = int(rng.integers(3, 13))
         scheme = binary_scheme(n)
-        dag = random_dag_from(scheme, rng)
+        dag = random_dag(scheme, rng, density=0.35)
         net = random_network(dag, seed=int(rng.integers(0, 2**31)))
         q = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
         query = [int(v) for v in q]
@@ -98,7 +87,7 @@ def test_criterion_2_bdeu_correctness():
     for _ in range(50):
         n = int(rng.integers(3, 6))
         s = binary_scheme(n)
-        dag = random_dag_from(s, rng)
+        dag = random_dag(s, rng, density=0.35)
         data = CategoricalDataset(
             s, rng.integers(0, 2, size=(int(rng.integers(10, 80)), n))
         )
@@ -118,14 +107,14 @@ def test_criterion_3_structure_validation_power():
     start = time.perf_counter()
     rng = np.random.default_rng(8)
     scheme = binary_scheme(8)
-    true_dag = random_dag_from(scheme, rng, density=0.4)
+    true_dag = random_dag(scheme, rng)
     density = len(true_dag.edges)
     net = random_network(true_dag, seed=42, concentration=0.5)
     data = sample_from_network(net, 10_000, seed=0)
 
     randoms = []
     while len(randoms) < 100:
-        cand = random_dag_from(scheme, rng, density=0.4)
+        cand = random_dag(scheme, rng)
         if len(cand.edges) == density and cand.edges != true_dag.edges:
             randoms.append(cand)
 

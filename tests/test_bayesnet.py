@@ -29,19 +29,12 @@ from causalkit.graph import Dag, VariableScheme, serialize_graph
 from causalkit.intervention import ate_grid
 from causalkit.synth import random_network, reference_network, sample_from_network
 
-from conftest import binary_scheme
+from conftest import binary_scheme, dag_from_insertions
 
 
 def random_dag(scheme, rng, n_edges):
-    dag = Dag(scheme)
-    for _ in range(n_edges):
-        u, v = rng.integers(0, len(scheme), size=2)
-        if u != v:
-            try:
-                dag = dag.add(int(u), int(v))
-            except Exception:
-                pass
-    return dag
+    pairs = (map(int, rng.integers(0, len(scheme), size=2)) for _ in range(n_edges))
+    return dag_from_insertions(scheme, pairs)
 
 
 def per_row_check(child, table):

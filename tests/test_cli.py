@@ -155,6 +155,10 @@ class TestExitCodes:
                 id="graphs-string",
             ),
             pytest.param(
+                {"graphs": []}, ["compare", "--data", "data.csv"], "--graphs",
+                id="graphs-empty",
+            ),
+            pytest.param(
                 {"grid": "yes"}, ["ate", "--network", "net.json"], "--grid",
                 id="grid-string",
             ),
@@ -189,6 +193,20 @@ class TestExitCodes:
         assert dispatch(["cohort", "--out", "c.csv", "--config", "missing.json"]) == 2
         assert capsys.readouterr().err.startswith("error: missing.json: ")
         assert not (workdir / "c.csv").exists()
+
+    @pytest.mark.parametrize("config", ["missing.json", "broken.json"])
+    def test_unreadable_config_that_was_to_give_a_required_option_is_2(
+        self, workdir, capsys, monkeypatch, config
+    ):
+        monkeypatch.chdir(workdir)
+        (workdir / "broken.json").write_text('{"out": "x.csv",}')
+        assert dispatch(["--config", config, "cohort", "--n", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and len(err.splitlines()) == 1
+        # The command line's own usage errors still come first.
+        assert dispatch(["discover", "--alpha", "1.5", "--config", config]) == 1
+        assert "argument --alpha:" in capsys.readouterr().err
+        assert not (workdir / "x.csv").exists()
 
     def test_config_option_is_read_only_in_full(self, workdir, capsys, monkeypatch):
         monkeypatch.chdir(workdir)
@@ -883,18 +901,33 @@ class TestDiscover:
         assert code == 0
         assert out.read_text().startswith("digraph G {")
 
-    def test_notears_zero_edges_warns(self, workdir, capsys):
+    def test_notears_zero_edges_warns(self, workdir, caplog):
         out = workdir / "nt.json"
         argv = ["discover", "--algo", "notears", "--data", str(workdir / "data.csv")]
-        assert dispatch(argv + ["--out", str(out), "--w-threshold", "100"]) == 0
+        with caplog.at_level("WARNING", logger="causalkit"):
+            assert dispatch(argv + ["--out", str(out), "--w-threshold", "100"]) == 0
         assert out.read_text() == serialize_graph(Dag(nsclc.SCHEME), "json")
-        warnings = [
-            line for line in capsys.readouterr().err.splitlines() if "warning" in line
+        assert [r.getMessage() for r in caplog.records] == [
+            "NOTEARS learned 0 edges (largest |w| 0.44 is below w_threshold 100)"
         ]
-        assert warnings == [
-            "warning: NOTEARS learned 0 edges "
-            "(largest |w| 0.44 is below --w-threshold 100)"
-        ]
+
+    def test_notears_zero_edges_warning_reaches_stderr(self, workdir):
+        # Under pytest the log records go to its own handlers, so only a
+        # fresh process shows what logging's last-resort handler prints.
+        src = str(Path(causalkit.__file__).resolve().parents[1])
+        argv = ["discover", "--algo", "notears", "--data", "data.csv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "causalkit.cli", *argv, "--out", "nt.json",
+             "--w-threshold", "100"],
+            capture_output=True,
+            text=True,
+            cwd=workdir,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0 and proc.stdout == "wrote nt.json\n"
+        assert proc.stderr == (
+            "NOTEARS learned 0 edges (largest |w| 0.44 is below w_threshold 100)\n"
+        )
 
 
 class TestExportDot:

@@ -17,7 +17,7 @@ from causalkit.graph import (
     serialize_graph,
 )
 
-from conftest import binary_scheme
+from conftest import binary_scheme, dag_from_insertions
 
 
 def dfs_has_cycle(adjacency):
@@ -97,38 +97,6 @@ class TestScheme:
             assert np.array_equal(lookup(np.int64(1)), lookup(1))
             with pytest.raises(error):
                 lookup(key)
-        with pytest.raises(error):
-            dag.add(key, "X0")
-        with pytest.raises(error):
-            dag.remove("X0", key)
-
-
-class TestMutateEdge:
-    def test_add_single_edge(self):
-        s = binary_scheme(2)
-        g = Dag(s).add("X0", "X1")
-        assert g.edges == {(0, 1)}
-
-    def test_two_cycle_rejected(self):
-        s = binary_scheme(2)
-        g = Dag.from_names(s, [("X0", "X1")])
-        with pytest.raises(CycleError):
-            g.add("X1", "X0")
-
-    def test_remove_is_inverse_of_add(self):
-        s = binary_scheme(2)
-        g = Dag(s).add("X0", "X1")
-        assert g.remove("X0", "X1").edges == frozenset()
-
-    def test_value_semantics(self):
-        s = binary_scheme(2)
-        g = Dag(s)
-        g.add("X0", "X1")
-        assert g.edges == frozenset()
-
-    def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
-            Dag(binary_scheme(2)).add("X0", "Z9")
 
 
 class TestIsAcyclic:
@@ -140,8 +108,7 @@ class TestIsAcyclic:
     @given(st.data())
     def test_random_insertions_match_dfs_oracle(self, data):
         n = data.draw(st.integers(3, 7))
-        s = binary_scheme(n)
-        g = Dag(s)
+        edges = set()
         adj = [[0] * n for _ in range(n)]
         for _ in range(data.draw(st.integers(0, 20))):
             u = data.draw(st.integers(0, n - 1))
@@ -150,12 +117,12 @@ class TestIsAcyclic:
                 continue
             adj[u][v] = 1
             would_cycle = dfs_has_cycle(adj)
-            try:
-                g = g.add(u, v)
-                assert not would_cycle
-            except CycleError:
-                assert would_cycle
+            assert reaches(edges, v, u) == would_cycle
+            if would_cycle:
                 adj[u][v] = 0
+            else:
+                edges.add((u, v))
+        Dag(binary_scheme(n), frozenset(edges))
 
 
 class TestReaches:
@@ -203,16 +170,9 @@ class TestTopologicalOrder:
     @given(st.data())
     def test_respects_edges_and_is_permutation(self, data):
         n = data.draw(st.integers(2, 8))
-        s = binary_scheme(n)
-        g = Dag(s)
-        for _ in range(data.draw(st.integers(0, 15))):
-            u = data.draw(st.integers(0, n - 1))
-            v = data.draw(st.integers(0, n - 1))
-            if u != v:
-                try:
-                    g = g.add(u, v)
-                except CycleError:
-                    pass
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=15))
+        g = dag_from_insertions(binary_scheme(n), pairs)
         order = g.topological_order()
         assert sorted(order) == list(range(n))
         position = {v: i for i, v in enumerate(order)}
@@ -241,11 +201,8 @@ class TestTopologicalOrder:
 
     def test_add_closing_a_cycle_names_the_edge(self):
         g = Dag.from_names(binary_scheme(3), [("X0", "X1"), ("X1", "X2")])
-        closing = "^adding X2 -> X0 would create a directed cycle$"
-        with pytest.raises(CycleError, match=closing):
-            g.add("X2", "X0")
         with pytest.raises(CycleError, match="^self-loop on X1$"):
-            g.add("X1", "X1")
+            Dag(g.scheme, g.edges | {(1, 1)})
         with pytest.raises(CycleError, match="^edge set contains a directed cycle$"):
             Dag(g.scheme, g.edges | {(2, 0)})
 

@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import re
 
 import pytest
 import requests
@@ -8,6 +10,7 @@ from causalkit import fixtures, llm, nsclc
 from causalkit.cli import dispatch
 from causalkit.errors import (
     BackendError,
+    CycleError,
     CyclicDraft,
     ReplayMiss,
     SchemaMismatch,
@@ -187,6 +190,139 @@ class TestAdjacencyParser:
         )
         dag, _ = parse_adjacency_response("SMOKING can affect the chest pain.", scheme)
         assert dag.edges == {(0, 1)}
+
+
+# The six patterns and the overlap filter that llm._MARKERS replaced, and the
+# parse loop that read them: the reference for the one-alternation scan.
+REFERENCE_MARKERS = (
+    (re.compile(r"can\s+(?:also\s+)?affect(?:\s+the)?", re.I), "affect", False),
+    (re.compile(r"can\s+lead\s+to", re.I), "affect", False),
+    (re.compile(r"can\s+(?:also\s+)?indicate(?:\s+the)?", re.I), "affect", False),
+    (re.compile(r"do(?:es)?\s+not\s+cause", re.I), "suppress", False),
+    (re.compile(r"which\s+in\s+turn\s+influences", re.I), "affect", True),
+    (re.compile(r"influences", re.I), "affect", False),
+)
+
+
+def reference_markers(sentence):
+    """(start, end, kind, anchored): each pattern's matches in list order, less
+    those that start inside a marker already kept, sorted by position."""
+    markers = []
+    for pattern, kind, anchored in REFERENCE_MARKERS:
+        for match in pattern.finditer(sentence):
+            if any(m[0] <= match.start() < m[1] for m in markers):
+                continue
+            markers.append((match.start(), match.end(), kind, anchored))
+    return sorted(markers)
+
+
+def reference_parse(completion, scheme):
+    """(edges, unparsed) read through the reference markers."""
+    sentences = [s.strip() for s in re.split(r"(?<=\.)\s+|\n", completion) if s.strip()]
+    added, suppressed, unparsed = set(), set(), []
+    for sentence in sentences:
+        markers = reference_markers(sentence)
+        if not markers:
+            unparsed.append(sentence)
+            continue
+        variables = llm._find_variables(sentence, scheme)
+        subjects = [
+            name for start, end, names in variables if end <= markers[0][0]
+            for name in names
+        ]
+        got_edge = False
+        for k, (start, end, kind, anchored) in enumerate(markers):
+            limit = markers[k + 1][0] if k + 1 < len(markers) else len(sentence)
+            objects = [
+                name for vstart, vend, names in variables
+                if start < vstart and vend <= limit for name in names
+            ]
+            if anchored:
+                before = [v for v in variables if v[1] <= start]
+                sources = list(before[-1][2]) if before else subjects
+            else:
+                sources = subjects
+            target = suppressed if kind == "suppress" else added
+            for src in sources:
+                for dst in objects:
+                    if src != dst:
+                        target.add((scheme.index(src), scheme.index(dst)))
+                        got_edge = True
+        if not got_edge:
+            unparsed.append(sentence)
+    edges = added - suppressed
+    try:
+        Dag(scheme, frozenset(edges))
+    except CycleError:
+        raise CyclicDraft(
+            "parsed draft contains a directed cycle",
+            edges=sorted((scheme.names[u], scheme.names[v]) for u, v in edges),
+        ) from None
+    return edges, unparsed
+
+
+def parsed_edges(completion, scheme):
+    dag, unparsed = parse_adjacency_response(completion, scheme)
+    return dag.edges, unparsed
+
+
+def parse_outcome(parse, text):
+    """(sorted edges, unparsed sentences) of a reply, or the error it raised."""
+    try:
+        edges, unparsed = parse(text, SCHEME)
+    except (CyclicDraft, VariableAliasUnknown) as exc:
+        return type(exc), str(exc), getattr(exc, "edges", None)
+    return sorted(edges), unparsed
+
+
+_PHRASES = (
+    "can affect the", "can also affect", "can affect", "can lead to",
+    "can indicate the", "can also indicate the", "can  indicate", "do not cause",
+    "does not cause", "Do\tnot cause", "which in turn influences",
+    "which in turn  influences", "Which In Turn influences", "in turn influences",
+    "influences", "Influences", "which in turn", "can", "can also", "affect the",
+    "lead to", "not cause",
+)
+_FILLER = (
+    "and", "the", "stage", "average", "of", "symptoms", "mutations", "NSCLC",
+    "(", ")", "they", "disease", "which", "turn", "re", "BLOODTYPE",
+)
+
+
+def random_reply(rng: random.Random) -> str:
+    """Sentences of marker phrases, scheme names, aliases and filler in any
+    case, mostly apart and sometimes run together."""
+    words = (
+        *SCHEME.names, *SCHEME.names, *(n.lower() for n in SCHEME.names),
+        *nsclc.VARIABLE_ALIASES, "SYMPTOMS", *_PHRASES, *_PHRASES, *_FILLER,
+    )
+    sentences = []
+    for _ in range(rng.randint(1, 3)):
+        parts = []
+        for _ in range(rng.randint(1, 8)):
+            parts += [rng.choice(words), rng.choice((" ", " ", " ", "  ", ", ", ""))]
+        sentences.append("".join(parts).strip() + ".")
+    return rng.choice((" ", "\n")).join(sentences)
+
+
+class TestMarkerScanReference:
+    def test_same_markers_and_parses_as_the_six_pattern_filter(self):
+        rng = random.Random(28)
+        bundled = sorted(set(fixtures.replay_backend()._exchanges.values()))
+        texts = bundled + [random_reply(rng) for _ in range(10_000)]
+        outcomes = []
+        for text in texts:
+            scanned = [(m.start(), m.end(), m.lastgroup) for m in llm._MARKERS.finditer(text)]
+            assert scanned == [
+                (start, end, "chain" if anchored else kind)
+                for start, end, kind, anchored in reference_markers(text)
+            ]
+            outcome = parse_outcome(parsed_edges, text)
+            assert outcome == parse_outcome(reference_parse, text), text
+            outcomes.append(outcome)
+        # The texts reach every branch: edges, no edge and both errors.
+        kinds = {o[0] if isinstance(o[0], type) else bool(o[0]) for o in outcomes}
+        assert kinds == {True, False, CyclicDraft, VariableAliasUnknown}
 
 
 class TestReplayBackend:

@@ -247,6 +247,25 @@ class TestFit:
         result = notears_fit(x, scheme=binary_scheme(4))
         assert result.dag.edges == frozenset()
 
+    def test_an_empty_fit_logs_one_warning(self, caplog):
+        rng = np.random.default_rng(0)
+        x0 = rng.normal(size=2000)
+        data = np.column_stack([x0, 0.8 * x0 + rng.normal(size=2000)])
+        with caplog.at_level("WARNING", logger="causalkit.notears"):
+            kept = notears_fit(data, scheme=binary_scheme(2))
+        assert kept.dag.edges == {(0, 1)} and caplog.records == []
+        with caplog.at_level("WARNING", logger="causalkit.notears"):
+            empty = notears_fit(
+                data, NotearsConfig(w_threshold=100), scheme=binary_scheme(2)
+            )
+        largest = np.abs(empty.raw.w).max()
+        assert empty.dag.edges == frozenset() and 0.5 < largest < 100
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
+            "causalkit.notears",
+            "WARNING",
+            f"NOTEARS learned 0 edges (largest |w| {largest:.3g} is below "
+            "w_threshold 100)",
+        )]
 
     def test_penalty_stops_growing_at_rho_max(self, monkeypatch, caplog):
         # A subproblem that never reduces h: the first solve is accepted at

@@ -20,7 +20,7 @@ from causalkit.scoring import (
 )
 from causalkit.synth import reference_network, sample_from_network
 
-from conftest import binary_scheme
+from conftest import binary_scheme, dag_from_insertions
 
 
 def _table(rows, child="X1", parents=("X0",)):
@@ -156,14 +156,11 @@ class TestTotals:
         rng = np.random.default_rng(seed)
         n_vars = int(rng.integers(3, 6))
         scheme = binary_scheme(n_vars)
-        dag = Dag(scheme)
-        for _ in range(int(rng.integers(0, 8))):
-            u, v = rng.integers(0, n_vars, size=2)
-            if u != v:
-                try:
-                    dag = dag.add(int(u), int(v))
-                except Exception:
-                    pass
+        pairs = (
+            map(int, rng.integers(0, n_vars, size=2))
+            for _ in range(int(rng.integers(0, 8)))
+        )
+        dag = dag_from_insertions(scheme, pairs)
         data = CategoricalDataset(
             scheme, rng.integers(0, 2, size=(int(rng.integers(5, 60)), n_vars))
         )
