@@ -9,6 +9,7 @@ recorded transcript file.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -217,24 +218,33 @@ _MARKERS = re.compile(
 _IGNORED_TOKENS = {"NSCLC"}
 
 
-def _find_variables(sentence: str, scheme: VariableScheme):
-    """(position, names) occurrences of scheme variables and their aliases,
-    each matched as a whole word."""
+@functools.lru_cache(maxsize=8)
+def _alias_scan(scheme: VariableScheme):
+    """One case-insensitive alternation of the scheme's names and aliases,
+    longest first, each a whole word and its own group, and the names each
+    group stands for."""
     alias_map = {name: (name,) for name in scheme.names}
     for alias, target in VARIABLE_ALIASES.items():
         if target in scheme.names:
             alias_map[alias] = (target,)
     if all(s in scheme.names for s in SYMPTOMS):
         alias_map["SYMPTOMS"] = SYMPTOMS
-    hits = []
-    for alias in sorted(alias_map, key=len, reverse=True):
-        # Not \b: a scheme name may start or end with a non-word character.
-        pattern = r"(?<!\w)" + re.escape(alias) + r"(?!\w)"
-        for match in re.finditer(pattern, sentence, re.I):
-            span = (match.start(), match.end())
-            if any(s < span[1] and span[0] < e for s, e, _ in hits):
-                continue  # already claimed by a longer alias
-            hits.append((span[0], span[1], alias_map[alias]))
+    aliases = sorted(alias_map, key=len, reverse=True)
+    # Not \b: a scheme name may start or end with a non-word character.
+    alternation = "|".join(f"({re.escape(alias)})" for alias in aliases) or "(?!)"
+    pattern = re.compile(rf"(?<!\w)(?:{alternation})(?!\w)", re.I)
+    return pattern, [alias_map[alias] for alias in aliases]
+
+
+def _find_variables(sentence: str, scheme: VariableScheme):
+    """(position, names) occurrences of scheme variables and their aliases,
+    each matched as a whole word, in one left-to-right scan in which the
+    longest alias that matches at a position wins."""
+    pattern, targets = _alias_scan(scheme)
+    hits = [
+        (match.start(), match.end(), targets[match.lastindex - 1])
+        for match in pattern.finditer(sentence)
+    ]
     # Uppercase tokens that look like variable names but match nothing.
     for match in re.finditer(r"\b[A-Z][A-Z0-9_]{2,}\b", sentence):
         if match.group(0) in _IGNORED_TOKENS:
@@ -244,7 +254,7 @@ def _find_variables(sentence: str, scheme: VariableScheme):
             raise VariableAliasUnknown(
                 f"unrecognized variable name {match.group(0)!r}"
             )
-    return sorted(hits)
+    return hits
 
 
 def parse_adjacency_response(completion: str, scheme: VariableScheme):

@@ -155,6 +155,8 @@ def notears_fit(
             raise ShapeError("raw matrix input requires a scheme")
         x = standardize(data)
     d = len(scheme)
+    if d == 0:
+        raise ShapeError(f"input of shape {x.shape} has no variables to fit")
     c = x.T @ x / x.shape[0]
     bounds = [(0, 0) if i == j else (0, None) for _ in range(2) for i in range(d) for j in range(d)]
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 from scipy.special import chdtrc
 
 from .data import CategoricalDataset
-from .errors import InsufficientData
+from .errors import InsufficientData, UnknownVariable
 from .graph import Dag, Pdag, VariableScheme, reaches
 
 log = logging.getLogger(__name__)
@@ -35,117 +35,158 @@ class SepsetMap:
         return self.sets.get(frozenset((x, y)))
 
 
-# Upper bound on the codes (rows x conditioning sets) one batch counts: about
-# six sets at n = 10,000 and 65 at n = 1,000.  Smaller batches pay numpy's
-# per-call cost more often; larger ones compute more sets past the first
-# independence, which ends a pair's search.
+# Upper bound on the codes (rows x variable tuples) one bincount counts, on
+# the table cells one reduction reads, and on the sets of one pair that one
+# wave holds: about six sets at n = 10,000 and 65 at n = 1,000.  Smaller
+# batches pay numpy's per-call cost more often; larger ones compute more sets
+# past the first independence, which ends a pair's search.
 _BATCH_CODES = 1 << 16
 
 
-def _ci_batches(columns, cards, x, y, conds, test):
-    """Yield (stat, p, dof) arrays for x and y given each conditioning set in
-    `conds` (tuples of one size), one batch at a time, in order.
+def _batch(n_rows: int) -> int:
+    return max(1, _BATCH_CODES // max(n_rows, 1))
 
-    `columns[v]` is the data column of variable v.  Each batch is one
-    bincount over every set's (stratum, x, y) cells, laid end to end.
-    Each set's statistic is one sum over its own contiguous slice of terms,
-    so it is bit-identical to counting that set alone (np.add.reduceat
-    would sum in another order).
+
+def _count(columns, card, keys):
+    """Joint count table of each sorted variable tuple in `keys`, one axis per
+    variable: one bincount per batch of tuples, its codes built in the
+    narrowest integer type that holds the batch's largest code."""
+    n = columns.shape[1]
+    counted = []
+    for start in range(0, len(keys), _batch(n)):
+        batch = np.array(keys[start:start + _batch(n)], dtype=np.intp)  # (m, k)
+        dims = card[batch]
+        sizes = dims.prod(axis=1)
+        ends = np.cumsum(sizes)
+        dtype = np.min_scalar_type(int(ends[-1]) - 1)
+        # A tuple's code is its offset plus its row-major cell code.
+        strides = (sizes[:, None] // np.cumprod(dims, axis=1)).astype(dtype)
+        codes = np.repeat((ends - sizes).astype(dtype)[:, None], n, axis=1)
+        for j in range(batch.shape[1]):
+            codes += columns[batch[:, j]] * strides[:, j, None]
+        counts = np.bincount(codes.ravel(), minlength=int(ends[-1]))
+        counted += map(np.reshape, np.split(counts, ends[:-1]), dims.tolist())
+    return counted
+
+
+def _statistics(tables, rx, ry, test):
+    """Statistic and dof of each (strata, rx, ry) count table.  Each statistic
+    is one sum over the table's own contiguous run of terms, so it is
+    bit-identical to a table counted alone; np.add.reduce sums each row of a
+    matrix of equal-length runs in that same order (np.add.reduceat would not).
     """
-    rx, ry = cards[x], cards[y]
-    cells = rx * ry
-    card = np.asarray(cards)
-    xy = columns[x] * ry + columns[y]
-    step = max(1, _BATCH_CODES // max(len(xy), 1))
-    for start in range(0, len(conds), step):
-        batch = np.array(conds[start:start + step], dtype=np.intp)  # (m, level)
-        m = len(batch)
-        # A set's code is its offset + stratum * cells + the (x, y) code; the
-        # stratum puts the set's first variable most significant.
-        strata = np.prod(card[batch], axis=1)
-        offsets = np.cumsum(strata) - strata
-        codes = np.add.outer(offsets * cells, xy)
-        stride = np.full(m, cells)
-        for j in reversed(range(batch.shape[1])):
-            term = columns[batch[:, j]]
-            term *= stride[:, None]
-            codes += term
-            stride *= card[batch[:, j]]
-        tables = np.bincount(codes.ravel(), minlength=int(strata.sum()) * cells)
-        tables = tables.reshape(-1, rx, ry)
-        n_s = tables.sum(axis=(1, 2))
-        nonempty = n_s > 0
-        # Nonempty strata per set; a set with none means no rows at all.
-        kept = np.add.reduceat(nonempty, offsets, dtype=np.int64)
-        if not kept.all():
-            raise InsufficientData("every conditioning stratum is empty")
+    strata = np.array([len(t) for t in tables])
+    tables = np.concatenate(tables)
+    rows, cols = np.einsum("sij->si", tables), np.einsum("sij->sj", tables)
+    n_s = np.einsum("si->s", rows)
+    nonempty = n_s > 0
+    # Nonempty strata per table; a table with none means no rows at all.
+    kept = np.add.reduceat(nonempty, np.cumsum(strata) - strata, dtype=np.int64)
+    if not kept.all():
+        raise InsufficientData("every conditioning stratum is empty")
+    tables, n_s = tables[nonempty], n_s[nonempty, None, None]
+    expected = rows[nonempty, :, None] * cols[nonempty, None, :] / n_s
+    mask = tables > 0 if test == "g2" else expected > 0
+    observed, expected = tables[mask], expected[mask]
+    if test == "g2":
+        terms, scale = observed * np.log(observed / expected), 2.0
+    else:
+        terms, scale = (observed - expected) ** 2 / expected, 1.0
+    ends = np.cumsum(np.count_nonzero(mask, axis=(1, 2)))[np.cumsum(kept) - 1]
+    lengths = np.diff(ends, prepend=0)
+    stat = np.empty(len(kept))
+    for length in np.unique(lengths).tolist():
+        which = np.flatnonzero(lengths == length)
+        runs = (ends[which] - length)[:, None] + np.arange(length)
+        stat[which] = np.add.reduce(terms[runs], axis=1)
+    return scale * stat, (rx - 1) * (ry - 1) * kept
 
-        tables = tables[nonempty]
-        expected = (
-            tables.sum(axis=2, keepdims=True)
-            * tables.sum(axis=1, keepdims=True)
-            / n_s[nonempty, None, None]
-        )
-        mask = tables > 0 if test == "g2" else expected > 0
-        observed, expected = tables[mask], expected[mask]
-        if test == "g2":
-            terms, scale = observed * np.log(observed / expected), 2.0
-        elif test == "chi2":
-            terms, scale = (observed - expected) ** 2 / expected, 1.0
-        else:
-            raise ValueError(f"unknown test {test!r}")
-        # One past each set's last term: the running term count at the end
-        # of the set's last nonempty stratum.
-        ends = np.cumsum(mask.sum(axis=(1, 2)))[np.cumsum(kept) - 1].tolist()
-        stat = np.array([
-            scale * float(np.add.reduce(terms[lo:hi]))
-            for lo, hi in zip([0] + ends[:-1], ends)
-        ])
-        dof = (rx - 1) * (ry - 1) * kept
-        p = np.ones(m)
-        p[dof > 0] = chdtrc(dof[dof > 0], stat[dof > 0])
-        yield stat, p, dof
+
+def _ci_tests(columns, cards, tests, test, tables):
+    """(stat, p, dof) arrays of the CI tests (x, y, cond) in `tests`.
+
+    `columns[v]` is variable v's data column in a narrow integer type.
+    `tables` maps a sorted variable tuple to its joint count table, which
+    every test on that tuple reads in (cond..., x, y) axis order; it is
+    emptied when the tuple length, so PC's level, changes.  Tests are grouped
+    by (card x, card y) and reduced in runs.
+    """
+    if test not in ("g2", "chi2"):
+        raise ValueError(f"unknown test {test!r}")
+    keys = [tuple(sorted((x, y, *cond))) for x, y, cond in tests]
+    if tables and keys and len(next(iter(tables))) != len(keys[0]):
+        tables.clear()
+    missing = {}
+    for (x, y, cond), key in zip(tests, keys):
+        if key not in tables and key not in missing:
+            if key[0] < 0 or key[-1] >= len(cards):
+                raise UnknownVariable(
+                    f"CI test {x}, {y} | {cond}: index not in [0, {len(cards)})"
+                )
+            if len(set(key)) < len(key):
+                raise ValueError(f"CI test {x}, {y} | {cond} needs distinct variables")
+            missing[key] = None
+    tables.update(zip(missing, _count(columns, np.asarray(cards), list(missing))))
+
+    stat, dof = np.empty(len(tests)), np.empty(len(tests), dtype=np.int64)
+    groups: dict[tuple[int, int], list] = {}
+    for i, ((x, y, cond), key) in enumerate(zip(tests, keys)):
+        view = tables[key].transpose([key.index(v) for v in (*cond, x, y)])
+        groups.setdefault((cards[x], cards[y]), []).append((i, view))
+    for (rx, ry), views in groups.items():
+        # Runs of tables that hold at most _BATCH_CODES cells (or one table).
+        step = max(1, _BATCH_CODES // max(view.size for _, view in views))
+        for start in range(0, len(views), step):
+            run = views[start:start + step]
+            index = [i for i, _ in run]
+            stat[index], dof[index] = _statistics(
+                [view.reshape(-1, rx, ry) for _, view in run], rx, ry, test
+            )
+    p = np.ones(len(tests))
+    p[dof > 0] = chdtrc(dof[dof > 0], stat[dof > 0])
+    return stat, p, dof
+
+
+def _narrow_columns(data: CategoricalDataset):
+    """The data's columns, each contiguous, in the narrowest integer type that
+    holds every state index."""
+    narrow = np.min_scalar_type(max(data.scheme.cardinalities(), default=1))
+    return np.ascontiguousarray(data.rows.T, dtype=narrow)
 
 
 def ci_test_g2(data: CategoricalDataset, x: int, y: int, cond=(), test="g2"):
     """Conditional independence test for discrete columns.
 
-    Returns (statistic, p_value, dof), computed as a batch of one.  Degrees
+    Returns (statistic, p_value, dof), computed as a wave of one.  Degrees
     of freedom are reduced for conditioning strata with no observations;
     zero-count cells contribute nothing to the statistic.
     """
-    cards = data.scheme.cardinalities()
-    batches = _ci_batches(data.rows.T, cards, x, y, [tuple(cond)], test)
-    stat, p, dof = next(batches)
+    columns, cards = _narrow_columns(data), data.scheme.cardinalities()
+    stat, p, dof = _ci_tests(columns, cards, [(x, y, tuple(cond))], test, {})
     return float(stat[0]), float(p[0]), int(dof[0])
 
 
 def make_ci_from_data(data: CategoricalDataset, test: str = "g2"):
-    """CI callable over data: ci(x, y, conds) yields the p-values of the
-    conditioning sets `conds`, a list of equal-size tuples, in order and in
-    batches, each batch computed only when it is reached."""
-    # A column-major copy, made once per run, turns every column that a
-    # test reads into a contiguous array.
-    columns = np.ascontiguousarray(data.rows.T)
-    cards = data.scheme.cardinalities()
+    """CI callable over data: ci(tests) returns the p-values of a wave of
+    tests (x, y, cond), in order; `ci.batch` is how many sets of one pair a
+    wave holds.  A level's count tables are kept for its later waves."""
+    columns, cards, tables = _narrow_columns(data), data.scheme.cardinalities(), {}
 
-    def ci(x: int, y: int, conds):
-        for _, p, _ in _ci_batches(columns, cards, x, y, conds, test):
-            yield p.tolist()
+    def ci(tests):
+        return _ci_tests(columns, cards, tests, test, tables)[1].tolist()
 
-    ci.scheme = data.scheme
+    ci.scheme, ci.batch = data.scheme, _batch(data.n)
     return ci
 
 
 def make_ci_from_dag(dag: Dag):
-    """d-separation oracle with the CI-callable interface: one verdict
-    (p in {0, 1}) per batch, each computed only when it is reached."""
+    """d-separation oracle with the CI-callable interface: p in {0, 1} per
+    test, and one set of each pair per wave."""
 
-    def ci(x: int, y: int, conds):
-        for cond in conds:
-            yield [1.0 if d_separated(dag, x, y, cond) else 0.0]
+    def ci(tests):
+        return [1.0 if d_separated(dag, x, y, cond) else 0.0 for x, y, cond in tests]
 
-    ci.scheme = dag.scheme
+    ci.scheme, ci.batch = dag.scheme, 1
     return ci
 
 
@@ -193,14 +234,16 @@ def learn_skeleton(
 ) -> tuple[Pdag, SepsetMap]:
     """Stable-PC skeleton search.
 
-    `ci` is a callable (x, y, conds) yielding, in batches and in order, the
-    p-values of the conditioning sets `conds`; it carries a `.scheme`
-    attribute (use make_ci_from_data or make_ci_from_dag).  Conditioning
-    sets grow level by level and deletions are batched per level, making the
-    result independent of edge traversal order.  A pair's candidate sets are
-    those from x's neighbours, then those from y's not already listed; the
-    first with p > alpha_level separates the pair.  One DEBUG line per level
-    gives the p-values computed and the edges removed.
+    `ci` is a callable that takes a wave, a list of tests (x, y, cond), and
+    returns their p-values in order; it carries `.scheme` and `.batch`, how
+    many sets of one pair a wave holds (use make_ci_from_data or
+    make_ci_from_dag).  Conditioning sets grow level by level and deletions
+    are batched per level, making the result independent of edge traversal
+    order, so each wave holds the next batch of every pair still searching.
+    A pair's candidate sets are those from x's neighbours, then those from
+    y's not already listed; the first with p > alpha_level separates the
+    pair.  One DEBUG line per level gives the p-values computed and the edges
+    removed.
     """
     if not 0 < alpha_level < 1:
         raise ValueError("alpha_level must be in (0, 1)")
@@ -215,29 +258,27 @@ def learn_skeleton(
     while level <= max_cond_size:
         if all(len(adj[v]) - 1 < level for v in adj):
             break
-        removals = []
-        computed = 0
+        searching = []
         for x, y in combinations(range(n), 2):
-            if y not in adj[x]:
-                continue
-            conds = list(combinations(sorted(adj[x] - {y}), level))
-            listed = set(conds)
-            conds += [
-                c
-                for c in combinations(sorted(adj[y] - {x}), level)
-                if c not in listed
+            if y in adj[x]:
+                conds = dict.fromkeys(combinations(sorted(adj[x] - {y}), level))
+                conds.update(dict.fromkeys(combinations(sorted(adj[y] - {x}), level)))
+                searching.append((x, y, list(conds)))
+        removals, computed = {}, 0
+        for start in count(0, ci.batch):
+            wave = [
+                (x, y, cond)
+                for x, y, conds in searching
+                if (x, y) not in removals
+                for cond in conds[start:start + ci.batch]
             ]
-            tested = 0
-            for batch in ci(x, y, conds) if conds else ():
-                hit = next(
-                    (i for i, p in enumerate(batch, tested) if p > alpha_level), None
-                )
-                tested += len(batch)
-                if hit is not None:
-                    removals.append((x, y, conds[hit]))
-                    break
-            computed += tested
-        for x, y, cond in removals:
+            if not wave:
+                break
+            for (x, y, cond), p in zip(wave, ci(wave)):
+                if p > alpha_level:
+                    removals.setdefault((x, y), cond)
+            computed += len(wave)
+        for (x, y), cond in sorted(removals.items()):
             adj[x].discard(y)
             adj[y].discard(x)
             sepsets.put(x, y, cond)

@@ -325,6 +325,68 @@ class TestMarkerScanReference:
         assert kinds == {True, False, CyclicDraft, VariableAliasUnknown}
 
 
+def reference_variables(sentence, scheme):
+    """The per-alias scan that llm._find_variables replaced: each alias,
+    longest first, claims its whole-word matches that overlap no claim made
+    before it; then every unclaimed uppercase token is an error."""
+    alias_map = {name: (name,) for name in scheme.names}
+    for alias, target in nsclc.VARIABLE_ALIASES.items():
+        if target in scheme.names:
+            alias_map[alias] = (target,)
+    if all(s in scheme.names for s in nsclc.SYMPTOMS):
+        alias_map["SYMPTOMS"] = nsclc.SYMPTOMS
+    hits = []
+    for alias in sorted(alias_map, key=len, reverse=True):
+        pattern = r"(?<!\w)" + re.escape(alias) + r"(?!\w)"
+        for match in re.finditer(pattern, sentence, re.I):
+            if any(s < match.end() and match.start() < e for s, e, _ in hits):
+                continue
+            hits.append((match.start(), match.end(), alias_map[alias]))
+    for match in re.finditer(r"\b[A-Z][A-Z0-9_]{2,}\b", sentence):
+        if match.group(0) != "NSCLC" and not any(
+            s <= match.start() and match.end() <= e for s, e, _ in hits
+        ):
+            raise VariableAliasUnknown(f"unrecognized variable name {match.group(0)!r}")
+    return sorted(hits)
+
+
+def scan_outcome(scan, sentence, scheme):
+    try:
+        return scan(sentence, scheme)
+    except VariableAliasUnknown as exc:
+        return str(exc)
+
+
+class TestVariableScanReference:
+    # Names that hold one another and non-word characters, for a scheme
+    # other than the bundled one.
+    NESTED = VariableScheme.of(
+        (name, ("a", "b"))
+        for name in ("LUNG", "LUNG CANCER", "SMALL LUNG CANCER", "+X", "IL-6", "IL")
+    )
+
+    def test_same_spans_as_the_per_alias_scan(self):
+        rng = random.Random(29)
+        bundled = sorted(set(fixtures.replay_backend()._exchanges.values()))
+        texts = bundled + [random_reply(rng) for _ in range(3_000)]
+        nested_words = (*self.NESTED.names, "lung", "cancer", "small", "x", "6", "and")
+        texts += [
+            " ".join(rng.choice(nested_words) for _ in range(rng.randint(1, 8)))
+            for _ in range(2_000)
+        ]
+        outcomes = set()
+        for text in texts:
+            for scheme in (SCHEME, self.NESTED):
+                outcome = scan_outcome(llm._find_variables, text, scheme)
+                assert outcome == scan_outcome(reference_variables, text, scheme), text
+                outcomes.add(type(outcome))
+        assert outcomes == {list, str}
+
+    def test_the_alternation_is_compiled_once_per_scheme(self):
+        assert llm._alias_scan(SCHEME) is llm._alias_scan(SCHEME)
+        assert llm._alias_scan(self.NESTED) is not llm._alias_scan(SCHEME)
+
+
 class TestReplayBackend:
     def test_hit_and_miss(self):
         backend = ReplayBackend({"p": "c"})

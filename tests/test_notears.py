@@ -5,7 +5,7 @@ import pytest
 
 from causalkit import notears
 from causalkit.errors import ShapeError
-from causalkit.graph import Dag
+from causalkit.graph import Dag, VariableScheme
 from causalkit.notears import (
     NotearsConfig,
     WeightedAdjacency,
@@ -231,6 +231,10 @@ class TestFit:
     def test_raw_matrix_requires_scheme(self):
         with pytest.raises(ShapeError):
             notears_fit(np.zeros((10, 2)))
+
+    def test_an_empty_scheme_is_a_shape_error_naming_the_input(self):
+        with pytest.raises(ShapeError, match=r"shape \(5, 0\) has no variables"):
+            notears_fit(np.zeros((5, 0)), scheme=VariableScheme(()))
 
     def test_output_is_always_acyclic(self):
         rng = np.random.default_rng(5)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import causalkit
 from causalkit import nsclc, pc
 from causalkit.data import CategoricalDataset
-from causalkit.errors import CycleError, InsufficientData
+from causalkit.errors import CycleError, InsufficientData, UnknownVariable
 from causalkit.graph import Dag, Pdag, VariableScheme, serialize_graph
 from causalkit.pc import (
     SepsetMap,
@@ -212,18 +212,17 @@ def loop_skeleton(ci_one, scheme, alpha_level=0.05, max_cond_size=None):
 
 
 def counting(ci):
-    """`ci` that also records every (x, y, cond) whose p-value it computed."""
-    computed = []
+    """`ci` that also records every (x, y, cond) whose p-value it computed,
+    and every wave it was asked for."""
+    computed, waves = [], []
 
-    def wrapped(x, y, conds):
-        done = 0
-        for batch in ci(x, y, conds):
-            computed.extend((x, y, cond) for cond in conds[done:done + len(batch)])
-            done += len(batch)
-            yield batch
+    def wrapped(tests):
+        computed.extend(tests)
+        waves.append(list(tests))
+        return ci(tests)
 
-    wrapped.scheme = ci.scheme
-    return wrapped, computed
+    wrapped.scheme, wrapped.batch = ci.scheme, ci.batch
+    return wrapped, computed, waves
 
 
 CHAIN = ("X0", "X1"), ("X1", "X2")
@@ -331,6 +330,35 @@ class TestCiTest:
             ci_test_g2(data, 0, 1)
 
 
+class TestCiArguments:
+    DATA = sample_from_network(reference_network(7), 500, 1)
+
+    @pytest.mark.parametrize(
+        "x, y, cond",
+        [(0, 1, (0,)), (0, 1, (1,)), (0, 0, ()), (0, 1, (2, 2)), (3, 1, (2, 3))],
+        ids=["holds-x", "holds-y", "x-is-y", "repeats", "holds-x-later"],
+    )
+    def test_a_repeated_variable_is_a_value_error(self, x, y, cond):
+        with pytest.raises(ValueError, match="distinct variables"):
+            ci_test_g2(self.DATA, x, y, cond)
+        ci = make_ci_from_data(self.DATA)
+        # A table of the same level counted first must not excuse the test.
+        ci([(5, 6, tuple(range(7, 7 + len(cond))))])
+        with pytest.raises(ValueError, match="distinct variables"):
+            ci([(x, y, cond)])
+
+    @pytest.mark.parametrize(
+        "x, y, cond",
+        [(0, 1, (-1,)), (0, 1, (99,)), (0, 18, ()), (-1, 1, ())],
+        ids=["negative-in-set", "large-in-set", "y-past-the-end", "negative-x"],
+    )
+    def test_an_index_outside_the_scheme_is_unknown_variable(self, x, y, cond):
+        with pytest.raises(UnknownVariable, match=r"not in \[0, 18\)"):
+            ci_test_g2(self.DATA, x, y, cond)
+        with pytest.raises(UnknownVariable):
+            make_ci_from_data(self.DATA)([(0, 1, ()), (x, y, cond)])
+
+
 class TestVectorisedCiTest:
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("test", ["g2", "chi2"])
@@ -362,33 +390,88 @@ class TestVectorisedCiTest:
     @pytest.mark.parametrize("test", ["g2", "chi2"])
     def test_batched_equals_one_set_at_a_time(self, seed, test, monkeypatch):
         data, rng = random_cohort(seed)
-        # Three sets per batch, so a level's list spans several batches.
+        # Three sets per batch, so a level's list spans several waves, and
+        # three tuples per count.
         monkeypatch.setattr(pc, "_BATCH_CODES", 3 * data.n)
         cards = data.scheme.cardinalities()
         x, y = (int(v) for v in rng.choice(len(cards), size=2, replace=False))
         others = [v for v in range(len(cards)) if v not in (x, y)]
+        ci = make_ci_from_data(data, test)
+        assert ci.batch == 3
+        columns, tables = pc._narrow_columns(data), {}
         for level in range(len(others) + 1):  # levels 0-4
             conds = list(combinations(others, level))
-            batches = list(pc._ci_batches(data.rows.T, cards, x, y, conds, test))
-            assert [len(p) for _, p, _ in batches] == [
-                min(3, len(conds) - i) for i in range(0, len(conds), 3)
-            ]
-            for cond, stat, p, dof in zip(
-                conds, *(np.concatenate(part) for part in zip(*batches))
-            ):
+            tests = [(x, y, cond) for cond in conds]
+            stat, p, dof = pc._ci_tests(columns, cards, tests, test, tables)
+            assert {len(key) for key in tables} == {level + 2}  # this level's only
+            assert ci(tests) == p.tolist()
+            for cond, *result in zip(conds, stat, p, dof):
                 single = ci_test_g2(data, x, y, cond, test=test)
-                assert (stat, p, dof) == single
+                assert tuple(result) == single
                 assert single == one_table_ci_test(data, x, y, cond, test)
 
-    def test_batches_split_at_the_code_cap(self):
+    def test_batches_split_at_the_code_cap(self, monkeypatch):
         # 20,000 rows make three sets per batch at the module's own cap.
         data = sample_from_network(reference_network(7), 20_000, 4)
         assert pc._BATCH_CODES // data.n == 3
+        ci = make_ci_from_data(data)
+        assert ci.batch == 3
         conds = list(combinations(range(2, 8), 2))
-        batches = list(make_ci_from_data(data)(0, 1, conds))
-        assert [len(b) for b in batches] == [3] * 5
-        assert sum(batches, []) == [ci_test_g2(data, 0, 1, c)[1] for c in conds]
-        assert sum(batches, []) == [one_table_ci_test(data, 0, 1, c)[1] for c in conds]
+        counted, bincount = [], np.bincount
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                np,
+                "bincount",
+                lambda codes, **kw: counted.append(len(codes)) or bincount(codes, **kw),
+            )
+            p = ci([(0, 1, c) for c in conds])
+        # Fifteen tuples, counted three at a time.
+        assert counted == [3 * data.n] * 5
+        assert p == [ci_test_g2(data, 0, 1, c)[1] for c in conds]
+        assert p == [one_table_ci_test(data, 0, 1, c)[1] for c in conds]
+
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("test", ["g2", "chi2"])
+    def test_wave_equals_one_table_per_test(self, seed, test, monkeypatch):
+        # Waves of random tests at levels 0-4, mixing pairs of different
+        # cardinalities and splits of one variable tuple; a cap of one to
+        # three rows' worth of codes splits them into several counts and
+        # post-processing runs.
+        data, rng = random_cohort(seed)
+        monkeypatch.setattr(pc, "_BATCH_CODES", int(rng.integers(1, 4)) * data.n)
+        n_vars = len(data.scheme)
+        columns, cards = pc._narrow_columns(data), data.scheme.cardinalities()
+        tables, ci, groups = {}, make_ci_from_data(data, test), set()
+        for level in range(min(4, n_vars - 2) + 1):
+            wave = []
+            for _ in range(16):
+                x, y, *cond = (int(v) for v in rng.permutation(n_vars)[: level + 2])
+                wave.append((x, y, tuple(cond)))
+            groups |= {(cards[x], cards[y]) for x, y, _ in wave}
+            stat, p, dof = pc._ci_tests(columns, cards, wave, test, tables)
+            assert ci(wave) == p.tolist()
+            assert list(zip(stat, p, dof)) == [
+                one_table_ci_test(data, x, y, cond, test) for x, y, cond in wave
+            ]
+        assert len(groups) > 2
+
+    @pytest.mark.parametrize("n, seed, depth", [(1000, 12, None), (326, 1, None)])
+    def test_each_level_counts_each_variable_tuple_once(
+        self, n, seed, depth, monkeypatch
+    ):
+        data = sample_from_network(reference_network(7), n, seed)
+        counted, count = [], pc._count
+
+        def recording(columns, card, keys):
+            counted.extend(keys)
+            return count(columns, card, keys)
+
+        monkeypatch.setattr(pc, "_count", recording)
+        ci, computed, _ = counting(make_ci_from_data(data))
+        learn_skeleton(ci, 0.05, depth)
+        assert len(counted) == len(set(counted))
+        assert set(counted) == {tuple(sorted((x, y, *c))) for x, y, c in computed}
+        assert len(counted) < len(computed)  # tests share tables
 
     def test_importing_pc_does_not_import_scipy_stats(self):
         src = str(Path(causalkit.__file__).resolve().parents[1])
@@ -474,11 +557,16 @@ class TestBatchedSkeleton:
         data, _ = random_cohort(seed)
         dag = random_dag(binary_scheme(6), np.random.default_rng(seed))
         for ci in (make_ci_from_data(data), make_ci_from_dag(dag)):
-            ci, computed = counting(ci)
+            ci, computed, waves = counting(ci)
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="causalkit.pc"):
                 learn_skeleton(ci)
             assert len(computed) == len(set(computed))
+            # A wave holds at most `batch` sets of each pair, all of one level.
+            for wave in waves:
+                pairs = [(x, y) for x, y, _ in wave]
+                assert max(map(pairs.count, pairs)) <= ci.batch
+                assert len({len(cond) for _, _, cond in wave}) == 1
             levels = [r.args for r in caplog.records]
             assert [level for level, _, _ in levels] == list(range(len(levels)))
             assert sum(count for _, count, _ in levels) == len(computed)
@@ -670,13 +758,16 @@ class TestAcyclicGuard:
             frozenset((0, 4)): (2,),
         }
 
-        def ci(x, y, conds):
-            pair = frozenset((x, y))
-            for cond in conds:
-                separated = pair not in adjacent and cond == separating.get(pair, ())
-                yield [1.0 if separated else 0.0]
+        def ci(tests):
+            return [
+                1.0
+                if frozenset((x, y)) not in adjacent
+                and cond == separating.get(frozenset((x, y)), ())
+                else 0.0
+                for x, y, cond in tests
+            ]
 
-        ci.scheme = binary_scheme(6)
+        ci.scheme, ci.batch = binary_scheme(6), 1
         skeleton, sepsets = learn_skeleton(ci)
         assert skeleton.undirected == adjacent
         with caplog.at_level(logging.WARNING, logger="causalkit.pc"):
@@ -782,7 +873,8 @@ def nsclc_random_dag(seed: int) -> Dag:
 
 class TestOrientationPins:
     """SHA-256 of PC's serialized output and its `causalkit` DEBUG and warning
-    lines, taken from the implementation that grew a `Dag` per proposed edge.
+    lines, taken from the implementation that grew a `Dag` per proposed edge
+    (the full-depth seed-11 run: from the per-pair CI kernel before waves).
     The three cohorts hold collider conflicts and a guarded-Meek refusal, so
     the collider step, the closure and both guards are pinned byte for byte.
     A changed digest is a changed output: mend the code, not the digest."""
@@ -793,8 +885,14 @@ class TestOrientationPins:
             (1000, 12, None, "e2847eb6ec4c1c92cd6fedb5f5b4a960a87bb5cf73be8a867a10cdad2f15d29b"),
             (10_000, 810448438, 2, "92ad4ad8ff1fffc2f72e76cfdafe6425a327afafb7b5759c4364f57e90f1cd3d"),
             (10_000, 11, 3, "c782af117b1ab90dadb2466bc28e211a52b7a028ab1dc08d33e522f7e1829021"),
+            (10_000, 11, None, "662c933c2a63d483101bf4f63535770217716d538e1d8fbbaaf2b32263f11dbb"),
         ],
-        ids=["n1000-seed12-full", "n10000-seed810448438-depth2", "n10000-seed11-depth3"],
+        ids=[
+            "n1000-seed12-full",
+            "n10000-seed810448438-depth2",
+            "n10000-seed11-depth3",
+            "n10000-seed11-full",
+        ],
     )
     def test_pc_run(self, n, seed, depth, digest, caplog):
         data = sample_from_network(reference_network(7), n, seed)
