@@ -32,7 +32,10 @@ class CategoricalDataset:
     _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = np.asarray(self.rows)
+        if not np.issubdtype(rows.dtype, np.integer):
+            raise SchemaMismatch(f"rows have dtype {rows.dtype}, expected integers")
+        rows = rows.astype(np.int64, copy=False)
         if rows.base is not None:  # a view's base could still be written
             rows = rows.copy(order="K")
         rows.setflags(write=False)
@@ -51,6 +54,37 @@ class CategoricalDataset:
 
     def column(self, variable) -> np.ndarray:
         return self.rows[:, self.scheme.resolve(variable)]
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """The rows transposed, each column contiguous and read-only, in the
+        narrowest integer type that holds every state index."""
+        narrow = np.min_scalar_type(max(self.scheme.cardinalities(), default=1) - 1)
+        columns = np.ascontiguousarray(self.rows.T, dtype=narrow)
+        columns.setflags(write=False)
+        return columns
+
+    def joint_counts(self, keys, per_count: int) -> list[np.ndarray]:
+        """Joint count table of each variable tuple in `keys`, one axis per
+        variable in the tuple's order: one bincount per `per_count` tuples of
+        equal length, its codes built in the narrowest integer type that holds
+        the batch's largest code."""
+        columns, cards = self.columns, np.asarray(self.scheme.cardinalities())
+        counted = []
+        for start in range(0, len(keys), per_count):
+            batch = np.array(keys[start:start + per_count], dtype=np.intp)  # (m, k)
+            dims = cards[batch]
+            sizes = dims.prod(axis=1)
+            ends = np.cumsum(sizes)
+            dtype = np.min_scalar_type(int(ends[-1]) - 1)
+            # A tuple's code is its offset plus its row-major cell code.
+            strides = (sizes[:, None] // np.cumprod(dims, axis=1)).astype(dtype)
+            codes = np.repeat((ends - sizes).astype(dtype)[:, None], self.n, axis=1)
+            for j in range(batch.shape[1]):
+                codes += columns[batch[:, j]] * strides[:, j, None]
+            counts = np.bincount(codes.ravel(), minlength=int(ends[-1]))
+            counted += map(np.reshape, np.split(counts, ends[:-1]), dims.tolist())
+        return counted
 
 
 @dataclass(frozen=True)
@@ -227,15 +261,14 @@ def contingency_counts(
     return the same CountTable, whose n_ij is read-only.
     """
     parents = tuple(parents)
-    if len(set(parents)) != len(parents) or child in parents:
-        raise DuplicateParent(f"bad parent set for {child}: {parents}")
     table = data._counts.get((child, parents))
     if table is not None:
         return table
-    shape = tuple(data.scheme.cardinality(v) for v in (*parents, child))
-    flat = np.ravel_multi_index([data.column(v) for v in (*parents, child)], shape)
-    counts = np.bincount(flat, minlength=int(np.prod(shape)))
-    n_ij = counts.reshape(-1, shape[-1])
+    family = tuple(map(data.scheme.resolve, (*parents, child)))
+    if len(set(family)) != len(family):
+        raise DuplicateParent(f"bad parent set for {child}: {parents}")
+    (counts,) = data.joint_counts([family], 1)
+    n_ij = counts.reshape(-1, counts.shape[-1])
     n_ij.setflags(write=False)
     table = CountTable(n_ij)
     data._counts[child, parents] = table

@@ -47,28 +47,6 @@ def _batch(n_rows: int) -> int:
     return max(1, _BATCH_CODES // max(n_rows, 1))
 
 
-def _count(columns, card, keys):
-    """Joint count table of each sorted variable tuple in `keys`, one axis per
-    variable: one bincount per batch of tuples, its codes built in the
-    narrowest integer type that holds the batch's largest code."""
-    n = columns.shape[1]
-    counted = []
-    for start in range(0, len(keys), _batch(n)):
-        batch = np.array(keys[start:start + _batch(n)], dtype=np.intp)  # (m, k)
-        dims = card[batch]
-        sizes = dims.prod(axis=1)
-        ends = np.cumsum(sizes)
-        dtype = np.min_scalar_type(int(ends[-1]) - 1)
-        # A tuple's code is its offset plus its row-major cell code.
-        strides = (sizes[:, None] // np.cumprod(dims, axis=1)).astype(dtype)
-        codes = np.repeat((ends - sizes).astype(dtype)[:, None], n, axis=1)
-        for j in range(batch.shape[1]):
-            codes += columns[batch[:, j]] * strides[:, j, None]
-        counts = np.bincount(codes.ravel(), minlength=int(ends[-1]))
-        counted += map(np.reshape, np.split(counts, ends[:-1]), dims.tolist())
-    return counted
-
-
 def _statistics(tables, rx, ry, test):
     """Statistic and dof of each (strata, rx, ry) count table.  Each statistic
     is one sum over the table's own contiguous run of terms, so it is
@@ -102,10 +80,18 @@ def _statistics(tables, rx, ry, test):
     return scale * stat, (rx - 1) * (ry - 1) * kept
 
 
-def _ci_tests(columns, cards, tests, test, tables):
-    """(stat, p, dof) arrays of the CI tests (x, y, cond) in `tests`.
+def _check_test(x, y, cond, n_vars):
+    """Reject a CI test whose variables are not distinct indices in [0, n_vars)."""
+    key = sorted((x, y, *cond))
+    if key[0] < 0 or key[-1] >= n_vars:
+        raise UnknownVariable(f"CI test {x}, {y} | {cond}: index not in [0, {n_vars})")
+    if len(set(key)) < len(key):
+        raise ValueError(f"CI test {x}, {y} | {cond} needs distinct variables")
 
-    `columns[v]` is variable v's data column in a narrow integer type.
+
+def _ci_tests(data: CategoricalDataset, tests, test, tables):
+    """(stat, p, dof) arrays of the CI tests (x, y, cond) in `tests` on data.
+
     `tables` maps a sorted variable tuple to its joint count table, which
     every test on that tuple reads in (cond..., x, y) axis order; it is
     emptied when the tuple length, so PC's level, changes.  Tests are grouped
@@ -113,20 +99,16 @@ def _ci_tests(columns, cards, tests, test, tables):
     """
     if test not in ("g2", "chi2"):
         raise ValueError(f"unknown test {test!r}")
+    cards = data.scheme.cardinalities()
     keys = [tuple(sorted((x, y, *cond))) for x, y, cond in tests]
     if tables and keys and len(next(iter(tables))) != len(keys[0]):
         tables.clear()
     missing = {}
     for (x, y, cond), key in zip(tests, keys):
         if key not in tables and key not in missing:
-            if key[0] < 0 or key[-1] >= len(cards):
-                raise UnknownVariable(
-                    f"CI test {x}, {y} | {cond}: index not in [0, {len(cards)})"
-                )
-            if len(set(key)) < len(key):
-                raise ValueError(f"CI test {x}, {y} | {cond} needs distinct variables")
+            _check_test(x, y, cond, len(cards))
             missing[key] = None
-    tables.update(zip(missing, _count(columns, np.asarray(cards), list(missing))))
+    tables.update(zip(missing, data.joint_counts(list(missing), _batch(data.n))))
 
     stat, dof = np.empty(len(tests)), np.empty(len(tests), dtype=np.int64)
     groups: dict[tuple[int, int], list] = {}
@@ -147,13 +129,6 @@ def _ci_tests(columns, cards, tests, test, tables):
     return stat, p, dof
 
 
-def _narrow_columns(data: CategoricalDataset):
-    """The data's columns, each contiguous, in the narrowest integer type that
-    holds every state index."""
-    narrow = np.min_scalar_type(max(data.scheme.cardinalities(), default=1))
-    return np.ascontiguousarray(data.rows.T, dtype=narrow)
-
-
 def ci_test_g2(data: CategoricalDataset, x: int, y: int, cond=(), test="g2"):
     """Conditional independence test for discrete columns.
 
@@ -161,8 +136,7 @@ def ci_test_g2(data: CategoricalDataset, x: int, y: int, cond=(), test="g2"):
     of freedom are reduced for conditioning strata with no observations;
     zero-count cells contribute nothing to the statistic.
     """
-    columns, cards = _narrow_columns(data), data.scheme.cardinalities()
-    stat, p, dof = _ci_tests(columns, cards, [(x, y, tuple(cond))], test, {})
+    stat, p, dof = _ci_tests(data, [(x, y, tuple(cond))], test, {})
     return float(stat[0]), float(p[0]), int(dof[0])
 
 
@@ -170,10 +144,10 @@ def make_ci_from_data(data: CategoricalDataset, test: str = "g2"):
     """CI callable over data: ci(tests) returns the p-values of a wave of
     tests (x, y, cond), in order; `ci.batch` is how many sets of one pair a
     wave holds.  A level's count tables are kept for its later waves."""
-    columns, cards, tables = _narrow_columns(data), data.scheme.cardinalities(), {}
+    tables = {}
 
     def ci(tests):
-        return _ci_tests(columns, cards, tests, test, tables)[1].tolist()
+        return _ci_tests(data, tests, test, tables)[1].tolist()
 
     ci.scheme, ci.batch = data.scheme, _batch(data.n)
     return ci
@@ -184,6 +158,8 @@ def make_ci_from_dag(dag: Dag):
     test, and one set of each pair per wave."""
 
     def ci(tests):
+        for x, y, cond in tests:
+            _check_test(x, y, cond, len(dag.scheme))
         return [1.0 if d_separated(dag, x, y, cond) else 0.0 for x, y, cond in tests]
 
     ci.scheme, ci.batch = dag.scheme, 1
@@ -247,6 +223,10 @@ def learn_skeleton(
     """
     if not 0 < alpha_level < 1:
         raise ValueError("alpha_level must be in (0, 1)")
+    if max_cond_size is not None and not (
+        type(max_cond_size) is int and max_cond_size >= 0  # a bool is not a depth
+    ):
+        raise ValueError("max_cond_size must be None or a non-negative int")
     scheme: VariableScheme = ci.scheme
     n = len(scheme)
     if max_cond_size is None:

@@ -1,10 +1,15 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causalkit
 from causalkit import nsclc
 from causalkit.data import (
     CategoricalDataset,
@@ -147,6 +152,13 @@ class TestLoadCsv:
 
 
 class TestDataset:
+    @pytest.mark.parametrize(
+        "rows", [[[0.5, 1.7], [1.0, 2.9]], [[True, False]]], ids=["float", "bool"]
+    )
+    def test_rows_that_are_not_integers_rejected(self, rows):
+        with pytest.raises(SchemaMismatch, match=np.array(rows).dtype.name):
+            CategoricalDataset(AB, np.array(rows))
+
     def test_out_of_range_state_rejected(self):
         with pytest.raises(SchemaMismatch):
             CategoricalDataset(AB, np.array([[0, 3]]))
@@ -213,6 +225,13 @@ class TestContingency:
             with pytest.raises(DuplicateParent):
                 contingency_counts(data, "B", ("B",))
 
+    def test_a_parent_that_names_the_child_by_index_rejected(self):
+        data = CategoricalDataset(AB, np.array([[0, 0], [1, 2]]))
+        with pytest.raises(DuplicateParent):
+            contingency_counts(data, "A", (0,))
+        with pytest.raises(DuplicateParent):
+            contingency_counts(data, 1, ("A", "B"))
+
     def test_parent_order_is_row_major(self):
         scheme = binary_scheme(3)
         data = CategoricalDataset(scheme, np.array([[1, 0, 1]]))
@@ -271,6 +290,87 @@ class TestContingency:
             for p in parents:
                 config = config * 2 + rows[idx, p]
             assert table.n_ij[config, rows[idx, child]] >= 1
+
+
+def ravel_counts(data, child, parents):
+    """Reference family table: np.ravel_multi_index over the int64 columns,
+    then one bincount."""
+    shape = tuple(data.scheme.cardinality(v) for v in (*parents, child))
+    flat = np.ravel_multi_index([data.column(v) for v in (*parents, child)], shape)
+    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(-1, shape[-1])
+
+
+class TestContingencyReference:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_schemes(self, seed):
+        # 0-300 rows of 2-7 variables; every other seed one variable has
+        # 257-400 states, so the columns are uint16.
+        rng = np.random.default_rng(seed)
+        cards = rng.integers(2, 6, size=int(rng.integers(2, 8)))
+        if seed % 2:
+            cards[rng.integers(len(cards))] = rng.integers(257, 401)
+        scheme = VariableScheme.of(
+            (f"V{i}", tuple(map(str, range(card)))) for i, card in enumerate(cards)
+        )
+        n = 0 if seed % 6 == 0 else int(rng.integers(1, 300))
+        rows = np.column_stack([rng.integers(0, card, size=n) for card in cards])
+        data = CategoricalDataset(scheme, rows)
+        assert data.columns.dtype == (np.uint16 if seed % 2 else np.uint8)
+        assert data.columns.tolist() == rows.T.tolist()
+        for _ in range(12):
+            size = int(rng.integers(1, min(4, len(cards)) + 1))
+            family = rng.permutation(len(cards))[:size]
+            child, *parents = (scheme.names[v] for v in family)
+            table = contingency_counts(data, child, parents).n_ij
+            reference = ravel_counts(data, child, parents)
+            assert table.dtype == reference.dtype
+            assert table.tolist() == reference.tolist()
+
+    @pytest.mark.parametrize(
+        "cards, code_type",
+        [((4, 4, 4), np.uint8), ((300, 4, 4), np.uint16), ((300, 300, 2), np.uint32)],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    def test_each_code_type(self, cards, code_type, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        scheme = VariableScheme.of(
+            (f"V{i}", tuple(map(str, range(card)))) for i, card in enumerate(cards)
+        )
+        rows = np.column_stack([rng.integers(0, card, size=n) for card in cards])
+        data = CategoricalDataset(scheme, rows)
+        counted, bincount = [], np.bincount
+        monkeypatch.setattr(
+            np,
+            "bincount",
+            lambda codes, **kw: counted.append(codes.dtype) or bincount(codes, **kw),
+        )
+        for child, parents in (("V2", ("V0", "V1")), ("V0", ()), ("V0", ("V2",))):
+            table = contingency_counts(data, child, parents)
+            assert table.n_ij.tolist() == ravel_counts(data, child, parents).tolist()
+            assert table.n == n
+        assert counted[0] == code_type
+
+    def test_the_column_store_is_derived_once_and_read_only(self):
+        data = CategoricalDataset(AB, np.array([[0, 0], [1, 2], [1, 1]]))
+        assert data.columns is data.columns
+        assert data.columns.flags.c_contiguous
+        with pytest.raises(ValueError):
+            data.columns[0, 0] = 1
+
+    def test_importing_data_does_not_import_scipy(self):
+        src = str(Path(causalkit.__file__).resolve().parents[1])
+        code = (
+            "import sys, causalkit.data; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestDefaults:

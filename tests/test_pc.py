@@ -346,6 +346,8 @@ class TestCiArguments:
         ci([(5, 6, tuple(range(7, 7 + len(cond))))])
         with pytest.raises(ValueError, match="distinct variables"):
             ci([(x, y, cond)])
+        with pytest.raises(ValueError, match="distinct variables"):
+            make_ci_from_dag(reference_network(7).dag)([(x, y, cond)])
 
     @pytest.mark.parametrize(
         "x, y, cond",
@@ -357,6 +359,9 @@ class TestCiArguments:
             ci_test_g2(self.DATA, x, y, cond)
         with pytest.raises(UnknownVariable):
             make_ci_from_data(self.DATA)([(0, 1, ()), (x, y, cond)])
+        oracle = make_ci_from_dag(reference_network(7).dag)
+        with pytest.raises(UnknownVariable, match=r"not in \[0, 18\)"):
+            oracle([(0, 1, ()), (x, y, cond)])
 
 
 class TestVectorisedCiTest:
@@ -398,11 +403,11 @@ class TestVectorisedCiTest:
         others = [v for v in range(len(cards)) if v not in (x, y)]
         ci = make_ci_from_data(data, test)
         assert ci.batch == 3
-        columns, tables = pc._narrow_columns(data), {}
+        tables = {}
         for level in range(len(others) + 1):  # levels 0-4
             conds = list(combinations(others, level))
             tests = [(x, y, cond) for cond in conds]
-            stat, p, dof = pc._ci_tests(columns, cards, tests, test, tables)
+            stat, p, dof = pc._ci_tests(data, tests, test, tables)
             assert {len(key) for key in tables} == {level + 2}  # this level's only
             assert ci(tests) == p.tolist()
             for cond, *result in zip(conds, stat, p, dof):
@@ -440,7 +445,7 @@ class TestVectorisedCiTest:
         data, rng = random_cohort(seed)
         monkeypatch.setattr(pc, "_BATCH_CODES", int(rng.integers(1, 4)) * data.n)
         n_vars = len(data.scheme)
-        columns, cards = pc._narrow_columns(data), data.scheme.cardinalities()
+        cards = data.scheme.cardinalities()
         tables, ci, groups = {}, make_ci_from_data(data, test), set()
         for level in range(min(4, n_vars - 2) + 1):
             wave = []
@@ -448,7 +453,7 @@ class TestVectorisedCiTest:
                 x, y, *cond = (int(v) for v in rng.permutation(n_vars)[: level + 2])
                 wave.append((x, y, tuple(cond)))
             groups |= {(cards[x], cards[y]) for x, y, _ in wave}
-            stat, p, dof = pc._ci_tests(columns, cards, wave, test, tables)
+            stat, p, dof = pc._ci_tests(data, wave, test, tables)
             assert ci(wave) == p.tolist()
             assert list(zip(stat, p, dof)) == [
                 one_table_ci_test(data, x, y, cond, test) for x, y, cond in wave
@@ -460,13 +465,13 @@ class TestVectorisedCiTest:
         self, n, seed, depth, monkeypatch
     ):
         data = sample_from_network(reference_network(7), n, seed)
-        counted, count = [], pc._count
+        counted, count = [], CategoricalDataset.joint_counts
 
-        def recording(columns, card, keys):
+        def recording(self, keys, per_count):
             counted.extend(keys)
-            return count(columns, card, keys)
+            return count(self, keys, per_count)
 
-        monkeypatch.setattr(pc, "_count", recording)
+        monkeypatch.setattr(CategoricalDataset, "joint_counts", recording)
         ci, computed, _ = counting(make_ci_from_data(data))
         learn_skeleton(ci, 0.05, depth)
         assert len(counted) == len(set(counted))
@@ -505,6 +510,12 @@ class TestSkeleton:
         dag = Dag(binary_scheme(2))
         with pytest.raises(ValueError):
             learn_skeleton(make_ci_from_dag(dag), alpha_level=0.0)
+
+    @pytest.mark.parametrize("depth", [-1, 1.5, True, np.int64(1)])
+    def test_a_depth_must_be_none_or_a_non_negative_int(self, depth):
+        data = sample_from_network(reference_network(7), 200, 1)
+        with pytest.raises(ValueError, match="max_cond_size"):
+            pc_run(data, 0.05, depth)
 
     def test_max_cond_size_zero_keeps_chain_endpoints(self):
         dag = Dag.from_names(binary_scheme(3), CHAIN)
