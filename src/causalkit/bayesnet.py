@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CategoricalDataset, contingency_counts, row_sums
+from .data import MAX_TABLE_CELLS, CategoricalDataset, contingency_counts, row_sums
 from .errors import (
     CardinalityMismatch,
     SchemaMismatch,
@@ -176,14 +176,14 @@ def fit_cpds(
         raise ValueError("prior_ess must be positive and finite")
     cpds = {}
     for idx, name in enumerate(dag.scheme.names):
-        parents = tuple(dag.scheme.names[p] for p in dag.parents(idx))
-        counts = contingency_counts(data, name, parents)
+        parents = dag.parents(idx)
+        counts = contingency_counts(data, idx, parents)
         a_i = prior_ess / counts.n_configs
         a_ij = a_i / counts.child_card
         # In place: the same IEEE operations without a broadcast temporary.
         table = counts.n_ij + a_ij
         table /= (counts.n_i + a_i)[:, None]
-        cpds[name] = Cpd(name, parents, table)
+        cpds[name] = Cpd(name, tuple(dag.scheme.names[p] for p in parents), table)
     return BayesianNetwork(dag, cpds)
 
 
@@ -264,7 +264,7 @@ def brute_force_query(
     """Oracle: materialize the full joint, condition, and marginalize."""
     scheme = net.scheme
     cards = scheme.cardinalities()
-    if (size := math.prod(cards)) > 2**24:
+    if (size := math.prod(cards)) > MAX_TABLE_CELLS:
         raise StateSpaceTooLarge(f"joint has {size} entries")
     query_idx, ev = _resolve_query(scheme, query, evidence)
 

@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("sample", _cmd_sample, "ancestral-sample from a network file")
     p.add_argument("--network", required=True)
-    p.add_argument("--n", type=_NON_NEGATIVE_INT, required=True)
+    p.add_argument("--n", type=_number(int, 0), required=True)
     p.add_argument("--out", required=True)
 
     p = add_parser("elicit", _cmd_elicit, "LLM graph elicitation", llm)

@@ -15,66 +15,81 @@ from .errors import (
     DuplicateParent,
     EmptyDataset,
     SchemaMismatch,
+    StateSpaceTooLarge,
 )
 from .graph import VariableScheme, is_missing
 from .nsclc import NUMERIC_BINS
 
+# The most cells one count table, or brute_force_query's joint, may hold.
+MAX_TABLE_CELLS = 2**24
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class CategoricalDataset:
-    """Row-major table of state indices conforming to a scheme.
+    """State indices conforming to a scheme, held as one read-only column
+    store: one contiguous row per variable, in the narrowest integer type
+    that holds every state index.
 
-    `_counts` is `contingency_counts`'s memo; the read-only rows keep it valid.
+    `_counts` is `contingency_counts`'s memo; the read-only store keeps it valid.
     """
 
     scheme: VariableScheme
-    rows: np.ndarray
-    _counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    columns: np.ndarray
+    _counts: dict = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        rows = np.asarray(self.rows)
+    def __init__(self, scheme: VariableScheme, rows):
+        rows = np.asarray(rows)
         if not np.issubdtype(rows.dtype, np.integer):
             raise SchemaMismatch(f"rows have dtype {rows.dtype}, expected integers")
-        rows = rows.astype(np.int64, copy=False)
-        if rows.base is not None:  # a view's base could still be written
-            rows = rows.copy(order="K")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2 or rows.shape[1] != len(self.scheme):
+        if rows.ndim != 2 or rows.shape[1] != len(scheme):
             raise SchemaMismatch(
-                f"rows have shape {rows.shape}, expected (N, {len(self.scheme)})"
+                f"rows have shape {rows.shape}, expected (N, {len(scheme)})"
             )
-        cards = np.array(self.scheme.cardinalities())
+        cards = np.array(scheme.cardinalities())
         if rows.size and ((rows < 0) | (rows >= cards)).any():
             raise SchemaMismatch("state index out of range for its variable")
+        narrow = np.min_scalar_type(max(cards, default=1) - 1)
+        # Always a copy: through a view, the caller could rewrite the store.
+        columns = np.array(rows.T, dtype=narrow, order="C")
+        columns.setflags(write=False)
+        object.__setattr__(self, "scheme", scheme)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_counts", {})
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (N, d) int64 state indices, a read-only copy of the store made
+        on each access: N x d x 8 bytes each time."""
+        rows = self.columns.T.astype(np.int64)
+        rows.setflags(write=False)
+        return rows
 
     @property
     def n(self) -> int:
-        return self.rows.shape[0]
+        return self.columns.shape[1]
 
     def column(self, variable) -> np.ndarray:
-        return self.rows[:, self.scheme.resolve(variable)]
-
-    @functools.cached_property
-    def columns(self) -> np.ndarray:
-        """The rows transposed, each column contiguous and read-only, in the
-        narrowest integer type that holds every state index."""
-        narrow = np.min_scalar_type(max(self.scheme.cardinalities(), default=1) - 1)
-        columns = np.ascontiguousarray(self.rows.T, dtype=narrow)
-        columns.setflags(write=False)
-        return columns
+        return self.columns[self.scheme.resolve(variable)]
 
     def joint_counts(self, keys, per_count: int) -> list[np.ndarray]:
         """Joint count table of each variable tuple in `keys`, one axis per
         variable in the tuple's order: one bincount per `per_count` tuples of
         equal length, its codes built in the narrowest integer type that holds
-        the batch's largest code."""
+        the batch's largest code.  A table of more than MAX_TABLE_CELLS cells
+        raises StateSpaceTooLarge before anything is allocated."""
         columns, cards = self.columns, np.asarray(self.scheme.cardinalities())
         counted = []
         for start in range(0, len(keys), per_count):
             batch = np.array(keys[start:start + per_count], dtype=np.intp)  # (m, k)
             dims = cards[batch]
-            sizes = dims.prod(axis=1)
+            sizes = [math.prod(shape) for shape in dims.tolist()]  # exact
+            if (size := max(sizes)) > MAX_TABLE_CELLS:
+                key = [self.scheme.names[v] for v in batch[sizes.index(size)]]
+                raise StateSpaceTooLarge(
+                    f"the count table of {key} has {size} cells, "
+                    f"more than {MAX_TABLE_CELLS}"
+                )
+            sizes = np.array(sizes)
             ends = np.cumsum(sizes)
             dtype = np.min_scalar_type(int(ends[-1]) - 1)
             # A tuple's code is its offset plus its row-major cell code.
@@ -234,8 +249,8 @@ def write_csv(data: CategoricalDataset) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(data.scheme.names)
     labels = [
-        np.array(data.scheme.states(j), dtype=object)[data.rows[:, j]]
-        for j in range(len(data.scheme))
+        np.array(data.scheme.states(j), dtype=object)[column]
+        for j, column in enumerate(data.columns)
     ]
     writer.writerows(zip(*labels))
     return out.getvalue()
@@ -257,19 +272,17 @@ def contingency_counts(
 ) -> CountTable:
     """Tally child states against every parent configuration.
 
-    Each (child, parents) table is counted once per dataset; later calls
-    return the same CountTable, whose n_ij is read-only.
+    Each family, named by variable names or indices, is counted once per
+    dataset; later calls return the same CountTable, whose n_ij is read-only.
     """
     parents = tuple(parents)
-    table = data._counts.get((child, parents))
-    if table is not None:
-        return table
     family = tuple(map(data.scheme.resolve, (*parents, child)))
-    if len(set(family)) != len(family):
-        raise DuplicateParent(f"bad parent set for {child}: {parents}")
-    (counts,) = data.joint_counts([family], 1)
-    n_ij = counts.reshape(-1, counts.shape[-1])
-    n_ij.setflags(write=False)
-    table = CountTable(n_ij)
-    data._counts[child, parents] = table
+    table = data._counts.get(family)
+    if table is None:
+        if len(set(family)) != len(family):
+            raise DuplicateParent(f"bad parent set for {child}: {parents}")
+        (counts,) = data.joint_counts([family], 1)
+        n_ij = counts.reshape(-1, counts.shape[-1])
+        n_ij.setflags(write=False)
+        table = data._counts[family] = CountTable(n_ij)
     return table

@@ -81,8 +81,7 @@ def bdeu_total(
         raise ValueError("dag and data use different schemes")
     per_node = {}
     for idx, name in enumerate(dag.scheme.names):
-        parents = tuple(dag.scheme.names[p] for p in dag.parents(idx))
-        counts = contingency_counts(data, name, parents)
+        counts = contingency_counts(data, idx, dag.parents(idx))
         per_node[name] = _FAMILY[variant](counts, alpha)
     total = sum(per_node.values())
     return ScoreReport(per_node, total)

@@ -8,12 +8,14 @@ import textwrap
 from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import causalkit
 from causalkit import nsclc
 from causalkit.cli import dispatch
-from causalkit.graph import Dag, Pdag, parse_graph_json, serialize_graph
+from causalkit.data import CategoricalDataset, write_csv
+from causalkit.graph import Dag, Pdag, VariableScheme, parse_graph_json, serialize_graph
 from causalkit.llm import render_single_prompt
 from causalkit.synth import reference_network, sample_from_network
 
@@ -26,8 +28,6 @@ def workdir(tmp_path):
     graph_path = tmp_path / "v1.json"
     graph_path.write_text(serialize_graph(nsclc.v1_dag(), "json"))
     data = sample_from_network(reference_network(), 400, seed=0)
-    from causalkit.data import write_csv
-
     (tmp_path / "data.csv").write_text(write_csv(data))
     return tmp_path
 
@@ -115,6 +115,9 @@ class TestExitCodes:
             pytest.param(
                 ["sample", "--network", "net.json", "--n", "-3"], "--n",
                 id="sample-n-negative",
+            ),
+            pytest.param(
+                ["sample", "--network", "net.json", "--n", "0"], "--n", id="sample-n-0"
             ),
             pytest.param(["cohort", "--n", "0"], "--n", id="cohort-n-0"),
             pytest.param(["cohort", "--n", "-1"], "--n", id="cohort-n-negative"),
@@ -291,6 +294,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists() and not (workdir / "nodir").exists()
+
+    @pytest.mark.parametrize(
+        "command, n_vars, card",
+        [("score", 9, 256), ("score", 6, 100), ("fit", 6, 100)],
+        ids=["score-256-states-8-parents", "score-100-states-5-parents",
+             "fit-100-states-5-parents"],
+    )
+    def test_oversized_family_is_2(self, tmp_path, capsys, command, n_vars, card):
+        # The last variable has every other as a parent: a family table of
+        # card**n_vars cells, which 256**9 wraps to 0 in int64.  The graph
+        # file, holding the variables, is the --scheme file too.
+        scheme = VariableScheme.of(
+            (f"V{i}", tuple(map(str, range(card)))) for i in range(n_vars)
+        )
+        dag = Dag(scheme, frozenset((i, n_vars - 1) for i in range(n_vars - 1)))
+        graph, data, out = tmp_path / "g.json", tmp_path / "d.csv", tmp_path / "out"
+        graph.write_text(serialize_graph(dag, "json"))
+        rows = np.arange(2 * n_vars).reshape(2, n_vars)
+        data.write_text(write_csv(CategoricalDataset(scheme, rows)))
+        argv = ["--scheme", str(graph), command, "--graph", str(graph)]
+        assert dispatch([*argv, "--data", str(data), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the count table of {list(scheme.names)} has "
+            f"{card**n_vars} cells, more than {2**24}\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "case",

@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +24,18 @@ from causalkit.errors import (
     DuplicateParent,
     EmptyDataset,
     SchemaMismatch,
+    StateSpaceTooLarge,
 )
 from causalkit.graph import VariableScheme
+from causalkit.synth import reference_network, sample_from_network
 
 from conftest import binary_scheme
 
 AB = VariableScheme.of([("A", ("lo", "hi")), ("B", ("x", "y", "z"))])
+# B has 300 states, so its dataset's store is uint16.
+WIDE = VariableScheme.of(
+    [("A", ("lo", "hi")), ("B", tuple(f"b{i}" for i in range(300)))]
+)
 
 
 class TestLoadCsv:
@@ -133,11 +141,21 @@ class TestLoadCsv:
         data, _ = load_csv("AGE\n65-75\n", scheme)
         assert data.column("AGE").tolist() == [1]
 
-    def test_round_trip_write_then_load(self):
-        data = CategoricalDataset(AB, np.array([[0, 2], [1, 1], [0, 0]]))
-        back, dropped = load_csv(write_csv(data), AB)
+    @pytest.mark.parametrize(
+        "scheme, rows, store",
+        [
+            (AB, [[0, 2], [1, 1], [0, 0]], np.uint8),
+            (WIDE, [[0, 299], [1, 256], [0, 0], [1, 255]], np.uint16),
+        ],
+        ids=["uint8", "uint16"],
+    )
+    def test_round_trip_write_then_load(self, scheme, rows, store):
+        data = CategoricalDataset(scheme, np.array(rows))
+        assert data.columns.dtype == store
+        back, dropped = load_csv(write_csv(data), scheme)
         assert dropped == 0
         assert np.array_equal(back.rows, data.rows)
+        assert back.rows.tolist() == rows
 
     def test_numeric_label_is_its_state_before_any_bin(self):
         scheme = VariableScheme.of(
@@ -186,6 +204,22 @@ class TestDataset:
         assert columns.rows.flags.f_contiguous  # the layout is kept
 
 
+    def test_one_narrow_store_and_rows_made_on_each_access(self):
+        rows = np.array(sample_from_network(reference_network(7), 50, seed=1).rows)
+        assert rows.dtype == np.int64
+        data = CategoricalDataset(nsclc.SCHEME, rows)
+        assert data.columns.dtype == np.uint8 and data.columns.flags.c_contiguous
+        arrays = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is data.columns
+        first, second = data.rows, data.rows
+        assert first is not second
+        assert first.dtype == np.int64 and not first.flags.writeable
+        assert np.array_equal(first, rows) and np.array_equal(second, rows)
+        for name in ("scheme", "columns"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(data, name, getattr(data, name))
+
+
 class TestRowSums:
     @pytest.mark.parametrize("width", range(0, 12))
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -231,6 +265,29 @@ class TestContingency:
             contingency_counts(data, "A", (0,))
         with pytest.raises(DuplicateParent):
             contingency_counts(data, 1, ("A", "B"))
+
+    @pytest.mark.parametrize(
+        "child, parents", [("AGE", ()), ("RET", ("AGE", "SMOKING"))]
+    )
+    def test_a_family_by_name_or_by_index_is_one_memo_entry(self, child, parents):
+        data = sample_from_network(reference_network(7), 100, seed=0)
+        family = tuple(map(nsclc.SCHEME.index, (*parents, child)))
+        table = contingency_counts(data, child, parents)
+        assert contingency_counts(data, family[-1], family[:-1]) is table
+        assert contingency_counts(data, child, family[:-1]) is table
+        assert list(data._counts) == [family]
+
+    def test_an_oversized_table_is_refused_before_it_is_sized_in_int64(self):
+        # 256**9 cells wrap to 0 in int64.
+        scheme = VariableScheme.of(
+            (f"V{i}", tuple(map(str, range(256)))) for i in range(9)
+        )
+        data = CategoricalDataset(scheme, np.zeros((3, 9), dtype=np.int64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateSpaceTooLarge, match=f"has {256**9} cells"):
+                contingency_counts(data, "V8", [f"V{i}" for i in range(8)])
+        assert not data._counts
 
     def test_parent_order_is_row_major(self):
         scheme = binary_scheme(3)
