@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import MAX_TABLE_CELLS, CategoricalDataset, contingency_counts, row_sums
+from .data import MAX_TABLE_CELLS, CategoricalDataset, contingency_counts
 from .errors import (
     CardinalityMismatch,
     SchemaMismatch,
@@ -33,7 +33,7 @@ from .graph import Dag, VariableScheme, parse_graph_json, serialize_graph
 _PLAN_CACHE_SIZE = 512  # plans hold only strings and ints, a few kB each
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cpd:
     """Row-stochastic table P(child state j | parent configuration i).
 
@@ -55,7 +55,7 @@ class Cpd:
         # cell its row sum.  Only a table that fails is scanned again, for the
         # message; the sums of such a table may overflow or meet inf - inf.
         with np.errstate(over="ignore", invalid="ignore"):
-            deviation = np.abs(row_sums(table) - 1.0)
+            deviation = np.abs(table @ np.ones(table.shape[1]) - 1.0)
         if table.size and table.min() >= 0 and deviation.max() <= 1e-9:
             return
         if not np.isfinite(table).all():
@@ -64,14 +64,14 @@ class Cpd:
             raise CardinalityMismatch(f"CPD rows for {self.child} not normalized")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BayesianNetwork:
     dag: Dag
     cpds: dict[str, Cpd]
     # Derived once, in scheme order: each CPD's scope (parents, then child),
     # which keys its inference plans, and its table with one axis per scope.
-    scopes: tuple = field(init=False, repr=False, compare=False)
-    tables: tuple = field(init=False, repr=False, compare=False)
+    scopes: tuple = field(init=False, repr=False)
+    tables: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         scheme = self.dag.scheme

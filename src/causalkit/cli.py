@@ -238,8 +238,6 @@ def _make_backend(args):
     from .llm import HttpBackend, ReplayBackend
 
     if args.backend == "http":
-        if not args.url:
-            raise ToolkitError("http backend requires --url")
         return HttpBackend(args.url, args.model, args.out_transcript)
     if args.replay_file:
         return _read(args.replay_file, ReplayBackend.parse_jsonl)
@@ -364,13 +362,7 @@ def _cmd_fit(args, scheme):
 def _cmd_ate(args, scheme):
     from .intervention import ate_grid
 
-    if args.network:
-        net = _load_network(args.network)
-    elif not (args.graph and args.data):
-        raise ToolkitError("ate needs --network or --graph plus --data")
-    else:
-        net = _fit(args, scheme)
-    grid = ate_grid(net)
+    grid = ate_grid(_load_network(args.network) if args.network else _fit(args, scheme))
     print(grid.to_text(), end="")
     if args.out:
         _write(args.out, grid.to_csv())
@@ -380,13 +372,16 @@ def _cmd_export_dot(args, scheme):
     _write(args.out, serialize_graph(_load_graph(args.graph, scheme), "dot"))
 
 
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
 def _apply_config(parser, path):
     """Config values become parser defaults, so a flag given anywhere on the
     command line overrides them. Global keys go to the top-level parser only:
     a subparser default would overwrite a global flag given before the
     subcommand."""
-    sub = next(a for a in parser._actions if a.dest == "command")
-    subparsers = tuple(sub.choices.values())
+    subparsers = tuple(_subparsers(parser).values())
     top = {a.dest for a in parser._actions} - {"help", "command"}
     known = top | {a.dest for p in subparsers for a in p._actions} - {"help"}
 
@@ -437,6 +432,16 @@ def _config_value(parser, action, value):
     return value
 
 
+def _missing_option(args):
+    """The option that the parsed command needs but argparse cannot require
+    alone: one of two inputs for ate, --url only for the http backend."""
+    if args.command == "ate" and not (args.network or args.graph and args.data):
+        return "ate needs --network or --graph plus --data"
+    if getattr(args, "backend", None) == "http" and not args.url:
+        return "http backend requires --url"
+    return None
+
+
 def dispatch(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -454,6 +459,8 @@ def dispatch(argv=None) -> int:
                 parser.error("argument --config: give the option in full")
             if isinstance(problem, argparse.ArgumentError):
                 parser.error(str(problem))
+            if problem is None and (missing := _missing_option(args)):
+                _subparsers(parser)[args.command].error(missing)
         except SystemExit as exc:
             return 1 if exc.code else 0
         if problem is not None:

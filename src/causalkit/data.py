@@ -24,7 +24,7 @@ from .nsclc import NUMERIC_BINS
 MAX_TABLE_CELLS = 2**24
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class CategoricalDataset:
     """State indices conforming to a scheme, held as one read-only column
     store: one contiguous row per variable, in the narrowest integer type
@@ -35,7 +35,7 @@ class CategoricalDataset:
 
     scheme: VariableScheme
     columns: np.ndarray
-    _counts: dict = field(repr=False, compare=False)
+    _counts: dict = field(repr=False)
 
     def __init__(self, scheme: VariableScheme, rows):
         rows = np.asarray(rows)
@@ -102,7 +102,7 @@ class CategoricalDataset:
         return counted
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
     """Counts n_ij of child states per parent configuration.
 
@@ -114,7 +114,7 @@ class CountTable:
 
     @functools.cached_property
     def n_i(self) -> np.ndarray:
-        n_i = row_sums(self.n_ij)
+        n_i = np.einsum("ij->i", self.n_ij)
         n_i.setflags(write=False)
         return n_i
 
@@ -151,18 +151,6 @@ class CountTable:
             values.setflags(write=False)
             index.setflags(write=False)
         return levels
-
-
-def row_sums(table: np.ndarray) -> np.ndarray:
-    """table.sum(axis=1), bit for bit.  numpy adds a row of fewer than 8 cells
-    left to right, but in one inner loop per row; adding whole columns is the
-    same order without the per-row loop."""
-    if not 0 < table.shape[1] < 8:
-        return table.sum(axis=1)
-    sums = table[:, 0].copy()
-    for column in table.T[1:]:
-        sums += column
-    return sums
 
 
 def load_csv(text: str, scheme: VariableScheme):

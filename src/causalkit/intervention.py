@@ -117,7 +117,7 @@ def ate(net: BayesianNetwork, q: InterventionQuery, infer=variable_elimination) 
     return float(treated_value - control_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AteGrid:
     treatments: tuple[str, ...]
     mutations: tuple[str, ...]

@@ -9,9 +9,11 @@ recorded transcript file.
 
 from __future__ import annotations
 
+import errno
 import functools
 import itertools
 import json
+import logging
 import os
 import re
 import time
@@ -27,6 +29,8 @@ from .errors import (
 )
 from .graph import Dag, VariableScheme, reaches
 from .nsclc import DISPLAY_NAMES, SYMPTOMS, VARIABLE_ALIASES
+
+log = logging.getLogger(__name__)
 
 
 class ReplayBackend:
@@ -87,6 +91,8 @@ class HttpBackend:
         self.model = model
         self.transcript_path = transcript_path
         self.api_key = os.environ.get("LLM_API_KEY", "")
+        if transcript_path:
+            _check_appendable(transcript_path)
 
     def send(self, prompt: str) -> str:
         import requests
@@ -125,6 +131,22 @@ class HttpBackend:
             with open(self.transcript_path, "a", encoding="utf-8") as fh:
                 fh.write(transcript_line(prompt, completion, time.time()))
         return completion
+
+
+def _check_appendable(path):
+    """Raise BackendError, naming path, if an append to it would fail: before
+    any request is sent, and without creating the file."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_APPEND))
+        return
+    except FileNotFoundError as exc:  # made by the first append, if it can be
+        parent = os.path.dirname(path) or "."
+        if os.access(parent, os.W_OK):
+            return
+        reason = os.strerror(errno.EACCES) if os.path.isdir(parent) else exc.strerror
+    except OSError as exc:
+        reason = exc.strerror
+    raise BackendError(f"{path}: {reason}")
 
 
 def transcript_line(prompt: str, completion: str, t: float) -> str:
@@ -221,8 +243,8 @@ _IGNORED_TOKENS = {"NSCLC"}
 @functools.lru_cache(maxsize=8)
 def _alias_scan(scheme: VariableScheme):
     """One case-insensitive alternation of the scheme's names and aliases,
-    longest first, each a whole word and its own group, and the names each
-    group stands for."""
+    longest first, each a whole word and its own group, then a last group for
+    any uppercase word; and the names each alias group stands for."""
     alias_map = {name: (name,) for name in scheme.names}
     for alias, target in VARIABLE_ALIASES.items():
         if target in scheme.names:
@@ -232,28 +254,24 @@ def _alias_scan(scheme: VariableScheme):
     aliases = sorted(alias_map, key=len, reverse=True)
     # Not \b: a scheme name may start or end with a non-word character.
     alternation = "|".join(f"({re.escape(alias)})" for alias in aliases) or "(?!)"
-    pattern = re.compile(rf"(?<!\w)(?:{alternation})(?!\w)", re.I)
+    pattern = re.compile(
+        rf"(?<!\w)(?:{alternation})(?!\w)|\b((?-i:[A-Z][A-Z0-9_]{{2,}}))\b", re.I
+    )
     return pattern, [alias_map[alias] for alias in aliases]
 
 
 def _find_variables(sentence: str, scheme: VariableScheme):
     """(position, names) occurrences of scheme variables and their aliases,
     each matched as a whole word, in one left-to-right scan in which the
-    longest alias that matches at a position wins."""
+    longest alias that matches at a position wins.  An uppercase word that no
+    alias match holds (none starts or ends inside a word) raises, unless ignored."""
     pattern, targets = _alias_scan(scheme)
-    hits = [
-        (match.start(), match.end(), targets[match.lastindex - 1])
-        for match in pattern.finditer(sentence)
-    ]
-    # Uppercase tokens that look like variable names but match nothing.
-    for match in re.finditer(r"\b[A-Z][A-Z0-9_]{2,}\b", sentence):
-        if match.group(0) in _IGNORED_TOKENS:
-            continue
-        span = (match.start(), match.end())
-        if not any(s <= span[0] and span[1] <= e for s, e, _ in hits):
-            raise VariableAliasUnknown(
-                f"unrecognized variable name {match.group(0)!r}"
-            )
+    hits = []
+    for match in pattern.finditer(sentence):
+        if match.lastindex <= len(targets):
+            hits.append((match.start(), match.end(), targets[match.lastindex - 1]))
+        elif match.group(0) not in _IGNORED_TOKENS:
+            raise VariableAliasUnknown(f"unrecognized variable name {match.group(0)!r}")
     return hits
 
 
@@ -351,8 +369,14 @@ def elicit_graph(strategy: str, scheme: VariableScheme, backend):
                 completion = backend.send(prompt)
             transcript = transcript.with_exchange(prompt, completion)
             u, v = scheme.index(cause), scheme.index(effect)
-            # A "yes" that would close a cycle is skipped; the draft stays acyclic.
-            if parse_verdict(completion) == "yes" and not reaches(edges, v, u):
+            if parse_verdict(completion) != "yes":
+                continue
+            if reaches(edges, v, u):  # skipped, so the draft stays acyclic
+                log.warning(
+                    "pairwise yes %s -> %s would close a directed cycle; skipped",
+                    cause, effect,
+                )
+            else:
                 edges.add((u, v))
         return Dag(scheme, frozenset(edges)), transcript.with_draft(edges)
     if strategy == "single":

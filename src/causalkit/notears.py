@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 RHO_MAX = 1e16  # the augmented Lagrangian stops raising rho (from 1) here
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedAdjacency:
     scheme: VariableScheme
     w: np.ndarray

@@ -17,7 +17,7 @@ from causalkit.bayesnet import (
     fit_cpds,
     variable_elimination,
 )
-from causalkit.data import CategoricalDataset, contingency_counts
+from causalkit.data import CategoricalDataset, CountTable, contingency_counts
 from causalkit.errors import (
     CardinalityMismatch,
     StateSpaceTooLarge,
@@ -26,7 +26,8 @@ from causalkit.errors import (
     ZeroEvidenceProbability,
 )
 from causalkit.graph import Dag, VariableScheme, serialize_graph
-from causalkit.intervention import ate_grid
+from causalkit.intervention import AteGrid, ate_grid
+from causalkit.notears import NotearsResult, WeightedAdjacency
 from causalkit.synth import random_network, reference_network, sample_from_network
 
 from conftest import binary_scheme, dag_from_insertions
@@ -121,6 +122,36 @@ class TestCpd:
             decided[expected] += 1
         assert decided[None] and decided[NOT_NORMALIZED]
         assert outcome(Cpd, "A", (), rows) == outcome(per_row_check, "A", rows)
+
+    @pytest.mark.parametrize("width", range(0, 12))
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_every_width_and_memory_layout(self, width, layout):
+        rng = np.random.default_rng(width)
+        table = rng.dirichlet([0.5] * max(width, 1), size=3000)[:, :width]
+        scaled, nan = table.copy(), table.copy()
+        scaled[1234] *= 1 + 1e-6
+        if width:
+            nan[1234, width // 2] = np.nan
+
+        def laid_out(t):
+            return {
+                "C": np.ascontiguousarray(t),
+                "F": np.asfortranarray(t),
+                "strided": np.repeat(t, 3, axis=0)[::3][:, ::-1],
+            }[layout]
+
+        # Width 0 has rows that sum to 0, so it is not normalized either way.
+        assert outcome(Cpd, "A", (), laid_out(table)) == (
+            None if width else NOT_NORMALIZED
+        )
+        assert outcome(Cpd, "A", (), laid_out(scaled)) == NOT_NORMALIZED
+        assert outcome(Cpd, "A", (), laid_out(nan)) == (
+            NOT_FINITE if width else NOT_NORMALIZED
+        )
+        # numpy's max of no row sums raises, as it did for every empty table.
+        empty = laid_out(table[:0])
+        assert outcome(Cpd, "A", (), empty)[0] is ValueError
+        assert outcome(Cpd, "A", (), empty) == outcome(per_row_check, "A", empty)
 
     def test_network_validates_parent_order(self, abc_scheme):
         dag = Dag.from_names(abc_scheme, [("X0", "X2"), ("X1", "X2")])
@@ -472,3 +503,33 @@ class TestSerialization:
             assert scope == net.dag.parents(idx) + (idx,)
             assert table.shape == tuple(net.scheme.cardinality(v) for v in scope)
             assert table.base is net.cpds[name].table
+
+
+def _two_node_network():
+    halves = np.full((1, 2), 0.5)
+    return BayesianNetwork(
+        Dag(binary_scheme(2)), {"X0": Cpd("X0", (), halves), "X1": Cpd("X1", (), halves)}
+    )
+
+
+# Each builds a new value; two builds hold equal arrays in distinct objects.
+ARRAY_VALUES = {
+    "CategoricalDataset": lambda: CategoricalDataset(binary_scheme(2), [[0, 1], [1, 0]]),
+    "CountTable": lambda: CountTable(np.array([[1, 2], [3, 4]])),
+    "Cpd": lambda: Cpd("A", (), np.array([[0.25, 0.75]])),
+    "WeightedAdjacency": lambda: WeightedAdjacency(binary_scheme(2), np.eye(2)),
+    "AteGrid": lambda: AteGrid(("T1", "T2"), ("M",), np.zeros((2, 1))),
+    "NotearsResult": lambda: NotearsResult(
+        WeightedAdjacency(binary_scheme(2), np.eye(2)), Dag(binary_scheme(2)), 0.0, True
+    ),
+    "BayesianNetwork": _two_node_network,
+}
+
+
+@pytest.mark.parametrize("build", ARRAY_VALUES.values(), ids=ARRAY_VALUES)
+def test_values_holding_arrays_compare_and_hash_by_identity(build):
+    value, copy = build(), build()
+    assert value == value
+    assert value != copy
+    assert hash(value) == hash(value)
+    assert len({value, copy}) == 2

@@ -141,6 +141,35 @@ class TestExitCodes:
         assert not (workdir / "out.json").exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["ate", "--out", "out.json"],
+                "ate needs --network or --graph plus --data", id="ate-no-inputs",
+            ),
+            pytest.param(
+                ["ate", "--graph", "v1.json", "--out", "out.json"],
+                "ate needs --network or --graph plus --data", id="ate-graph-alone",
+            ),
+            pytest.param(
+                ["elicit", "--strategy", "single", "--backend", "http",
+                 "--out-graph", "out.json"],
+                "http backend requires --url", id="http-without-url",
+            ),
+        ],
+    )
+    def test_missing_input_option_is_usage_error(
+        self, workdir, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.chdir(workdir)
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize(
         "config, argv, option",
         [
             pytest.param(
@@ -738,7 +767,7 @@ class TestElicit:
                 str(tmp_path / "g.json"),
             ]
         )
-        assert code == 2
+        assert code == 1  # a missing option is a usage error
 
 
 class TestRefine:
@@ -845,7 +874,7 @@ class TestScoreFitAte:
         assert not (workdir / "o.csv").exists()
 
     def test_ate_needs_network_or_graph(self):
-        assert dispatch(["ate"]) == 2
+        assert dispatch(["ate"]) == 1  # a missing option is a usage error
 
     def test_compare_two_graphs(self, workdir, capsys):
         v5 = workdir / "v5.json"

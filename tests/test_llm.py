@@ -382,6 +382,30 @@ class TestVariableScanReference:
                 outcomes.add(type(outcome))
         assert outcomes == {list, str}
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "+XABC can affect the IL.",
+            "ABC+X can affect the IL.",
+            "IL-6_X can affect the LUNG.",
+            "IL-6 can affect the RET_X.",
+            "SMOKING can affect the RET_X.",
+            "KRAS2 can affect the AGE.",
+            "AGE can affect the KRAS2 and +X.",
+            "+X can affect the IL-6 and SMALL LUNG CANCER.",
+        ],
+    )
+    def test_words_that_touch_an_alias_match_as_the_per_alias_scan(self, text):
+        # An uppercase word next to, or holding, a name with non-word ends.
+        for scheme in (SCHEME, self.NESTED):
+            outcome = scan_outcome(llm._find_variables, text, scheme)
+            assert outcome == scan_outcome(reference_variables, text, scheme)
+
+    def test_an_all_caps_sentence_raises_on_its_first_unknown_word(self):
+        text = "AGE CAN AFFECT THE SURVIVAL."
+        for scan in llm._find_variables, reference_variables:
+            assert scan_outcome(scan, text, SCHEME) == "unrecognized variable name 'CAN'"
+
     def test_the_alternation_is_compiled_once_per_scheme(self):
         assert llm._alias_scan(SCHEME) is llm._alias_scan(SCHEME)
         assert llm._alias_scan(self.NESTED) is not llm._alias_scan(SCHEME)
@@ -448,9 +472,11 @@ class TestReplayBackend:
 
 
 class TestElicitation:
-    def test_pairwise_yields_recorded_yes_edges(self):
+    def test_pairwise_yields_recorded_yes_edges(self, caplog):
         backend = fixtures.replay_backend()
-        dag, transcript = elicit_graph("pairwise", SCHEME, backend)
+        with caplog.at_level("WARNING", logger="causalkit.llm"):
+            dag, transcript = elicit_graph("pairwise", SCHEME, backend)
+        assert caplog.records == []  # the recorded session skips no pair
         edges = {
             (SCHEME.names[u], SCHEME.names[v]) for u, v in dag.edges
         }
@@ -491,7 +517,7 @@ class TestElicitation:
             render_pairwise_prompt("C", "B"),
         ]
 
-    def test_pairwise_yes_that_would_close_a_cycle_is_skipped(self):
+    def test_pairwise_yes_that_would_close_a_cycle_is_skipped(self, caplog):
         # A -> B, then the reversed prompt gives C -> A, so B -> C would
         # close A -> B -> C -> A.
         scheme = VariableScheme.of([(n, ("0", "1")) for n in "ABC"])
@@ -502,7 +528,12 @@ class TestElicitation:
                 render_pairwise_prompt("B", "C"): "Yes, it does.",
             }
         )
-        dag, transcript = elicit_graph("pairwise", scheme, backend)
+        with caplog.at_level("WARNING", logger="causalkit.llm"):
+            dag, transcript = elicit_graph("pairwise", scheme, backend)
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
+            "causalkit.llm", "WARNING",
+            "pairwise yes B -> C would close a directed cycle; skipped",
+        )]
         assert dag.edges == {(0, 1), (2, 0)}
         assert [c for _, c, _ in transcript.exchanges] == ["Yes, it does."] * 3
         assert transcript.drafts[-1] == ("V1", ((0, 1), (2, 0)))
@@ -657,6 +688,24 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="malformed"):
             HttpBackend("http://llm.invalid/v1", "m", transcript).send("p")
         assert not transcript.exists()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_unwritable_transcript_fails_before_any_request(
+        self, fake, tmp_path, capsys, where
+    ):
+        calls, _, replies = fake
+        replies.append(_response(200, _completion(fixtures.SINGLE_PROMPT_RESPONSE)))
+        transcript, reason = {
+            "missing-directory": (tmp_path / "missing" / "t.jsonl", "No such file"),
+            "a-directory": (tmp_path, "Is a directory"),
+        }[where]
+        argv = ["elicit", "--strategy", "single", "--backend", "http",
+                "--url", "http://llm.invalid/v1", "--out-graph", str(tmp_path / "g.json"),
+                "--out-transcript", str(transcript)]
+        assert dispatch(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {transcript}: {reason}")
+        assert calls == [] and sorted(tmp_path.iterdir()) == []
 
     def test_refine_keeps_every_exchange_in_its_transcript(
         self, fake, tmp_path, monkeypatch
