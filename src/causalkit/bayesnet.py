@@ -84,6 +84,10 @@ class BayesianNetwork:
             if name not in self.cpds:
                 raise UnparameterizedNetwork(f"missing CPD for {name}")
             cpd = self.cpds[name]
+            if cpd.child != name:
+                raise UnparameterizedNetwork(
+                    f"CPD for {cpd.child} is filed under {name}"
+                )
             parents = self.dag.parents(idx)
             expected = tuple(scheme.names[p] for p in parents)
             if cpd.parents != expected:
@@ -174,6 +178,8 @@ def fit_cpds(
     """
     if not 0 < prior_ess < math.inf:
         raise ValueError("prior_ess must be positive and finite")
+    if dag.scheme is not data.scheme and dag.scheme != data.scheme:
+        raise ValueError("dag and data use different schemes")
     cpds = {}
     for idx, name in enumerate(dag.scheme.names):
         parents = dag.parents(idx)

@@ -114,7 +114,9 @@ class CountTable:
 
     @functools.cached_property
     def n_i(self) -> np.ndarray:
-        n_i = np.einsum("ij->i", self.n_ij)
+        # In the dtype numpy's row sum promotes to: einsum alone would add an
+        # int8 or bool table in its own dtype, and wrap or saturate.
+        n_i = np.einsum("ij->i", self.n_ij, dtype=self.n_ij[:0].sum(axis=1).dtype)
         n_i.setflags(write=False)
         return n_i
 

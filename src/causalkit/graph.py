@@ -1,9 +1,9 @@
 """Directed and partially directed graphs over a fixed categorical variable scheme.
 
 Graphs are immutable values, built whole by their constructors, which
-check them.  A graph only makes sense relative to one
-VariableScheme; edges are stored as (parent index, child index) pairs into
-the scheme's variable order.
+check them.  A graph only makes sense relative to one VariableScheme; each
+edge endpoint is a name or an index, read by VariableScheme.resolve, and edges
+are stored as (parent index, child index) pairs into the scheme's order.
 """
 
 from __future__ import annotations
@@ -146,10 +146,13 @@ class Dag:
     edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        resolve = self.scheme.resolve
+        edges = frozenset((resolve(u), resolve(v)) for u, v in self.edges)
+        object.__setattr__(self, "edges", edges)
         # Sorted parent and child tuples and the order, derived once.
         n = len(self.scheme)
         parents, children = [[] for _ in range(n)], [[] for _ in range(n)]
-        for u, v in sorted(self.edges):
+        for u, v in sorted(edges):
             if u == v:
                 raise CycleError(f"self-loop on {self.scheme.names[u]}")
             parents[v].append(u)
@@ -160,13 +163,6 @@ class Dag:
         object.__setattr__(self, "_parents", tuple(map(tuple, parents)))
         object.__setattr__(self, "_children", tuple(map(tuple, children)))
         object.__setattr__(self, "_order", tuple(order))
-
-    @classmethod
-    def from_names(cls, scheme: VariableScheme, edges) -> "Dag":
-        pairs = frozenset(
-            (scheme.index(u), scheme.index(v)) for u, v in edges
-        )
-        return cls(scheme, pairs)
 
     def parents(self, variable) -> tuple[int, ...]:
         return self._parents[self.scheme.resolve(variable)]
@@ -189,7 +185,10 @@ class Pdag:
     neighbours: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        und = frozenset(frozenset(e) for e in self.undirected)
+        resolve = self.scheme.resolve
+        directed = frozenset((resolve(u), resolve(v)) for u, v in self.directed)
+        und = frozenset(frozenset(map(resolve, e)) for e in self.undirected)
+        object.__setattr__(self, "directed", directed)
         object.__setattr__(self, "undirected", und)
         # Each variable's neighbours, whatever the marks, derived as edges are checked.
         adj = [set() for _ in range(len(self.scheme))]
@@ -199,7 +198,7 @@ class Pdag:
             a, b = e
             adj[a].add(b)
             adj[b].add(a)
-        for u, v in self.directed:
+        for u, v in directed:
             if u == v:
                 raise CycleError(f"self-loop on {self.scheme.names[u]}")
             if frozenset((u, v)) in und:
@@ -209,14 +208,6 @@ class Pdag:
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "neighbours", tuple(map(frozenset, adj)))
-
-    @classmethod
-    def from_names(cls, scheme, directed=(), undirected=()) -> "Pdag":
-        d = frozenset((scheme.index(u), scheme.index(v)) for u, v in directed)
-        u = frozenset(
-            frozenset((scheme.index(a), scheme.index(b))) for a, b in undirected
-        )
-        return cls(scheme, d, u)
 
     def skeleton_pairs(self) -> set[frozenset[int]]:
         pairs = {frozenset(e) for e in self.directed}

@@ -285,8 +285,8 @@ def parse_adjacency_response(completion: str, scheme: VariableScheme):
     when the stated edges contain a cycle.
     """
     sentences = [s.strip() for s in re.split(r"(?<=\.)\s+|\n", completion) if s.strip()]
-    added: set[tuple[int, int]] = set()
-    suppressed: set[tuple[int, int]] = set()
+    added: set[tuple[str, str]] = set()
+    suppressed: set[tuple[str, str]] = set()
     unparsed: list[str] = []
     for sentence in sentences:
         markers = list(_MARKERS.finditer(sentence))
@@ -319,18 +319,17 @@ def parse_adjacency_response(completion: str, scheme: VariableScheme):
             for src in sources:
                 for dst in objects:
                     if src != dst:
-                        target.add((scheme.index(src), scheme.index(dst)))
+                        target.add((src, dst))
                         got_edge = True
         if not got_edge:
             unparsed.append(sentence)
 
     edges = added - suppressed
     try:
-        return Dag(scheme, frozenset(edges)), unparsed
+        return Dag(scheme, edges), unparsed
     except CycleError:
         raise CyclicDraft(
-            "parsed draft contains a directed cycle",
-            edges=sorted((scheme.names[u], scheme.names[v]) for u, v in edges),
+            "parsed draft contains a directed cycle", edges=sorted(edges)
         ) from None
 
 

@@ -50,9 +50,13 @@ class NotearsConfig:
     l1_penalty: float = 0.1
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not (  # a bool is not a count
+            isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1
+        ):
+            raise ValueError("max_iter must be an integer >= 1")
         # Written so that NaN fails too.
-        if not (0 < self.max_iter < math.inf and 0 < self.w_threshold < math.inf):
-            raise ValueError("max_iter and w_threshold must be positive and finite")
+        if not 0 < self.w_threshold < math.inf:
+            raise ValueError("w_threshold must be positive and finite")
         if not 0 <= self.l1_penalty < math.inf:
             raise ValueError("l1_penalty must be non-negative and finite")
         if not 0 < self.h_tol < 1:
@@ -153,7 +157,11 @@ def notears_fit(
     else:
         if scheme is None:
             raise ShapeError("raw matrix input requires a scheme")
-        x = standardize(data)
+        x = np.asarray(data, dtype=float)
+        if not np.isfinite(x).all():
+            # The optimizer would never leave W = 0 and call that converged.
+            raise ShapeError("raw matrix has non-finite entries")
+        x = standardize(x)
     d = len(scheme)
     if d == 0:
         raise ShapeError(f"input of shape {x.shape} has no variables to fit")

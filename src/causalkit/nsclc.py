@@ -145,8 +145,8 @@ def v5_edges():
 
 
 def v1_dag() -> Dag:
-    return Dag.from_names(SCHEME, v1_edges())
+    return Dag(SCHEME, v1_edges())
 
 
 def v5_dag() -> Dag:
-    return Dag.from_names(SCHEME, v5_edges())
+    return Dag(SCHEME, v5_edges())

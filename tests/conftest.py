@@ -28,7 +28,7 @@ def abc_scheme():
 def chain_net():
     """A -> B with P(A=1)=0.3, P(B=1|A=0)=0.2, P(B=1|A=1)=0.9."""
     scheme = VariableScheme.of([("A", ("0", "1")), ("B", ("0", "1"))])
-    dag = Dag.from_names(scheme, [("A", "B")])
+    dag = Dag(scheme, [("A", "B")])
     return BayesianNetwork(
         dag,
         {
@@ -44,7 +44,7 @@ def confounded_net():
     scheme = VariableScheme.of(
         [("M", ("0", "1")), ("T", ("0", "1")), ("Y", ("0", "1"))]
     )
-    dag = Dag.from_names(scheme, [("M", "T"), ("M", "Y"), ("T", "Y")])
+    dag = Dag(scheme, [("M", "T"), ("M", "Y"), ("T", "Y")])
     return BayesianNetwork(
         dag,
         {

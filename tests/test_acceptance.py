@@ -260,8 +260,8 @@ def test_criterion_4_pc_correctness():
             pc_exact += 1
 
     # Part 2: G^2 at N=10000 recovers the chain and collider patterns.
-    chain_dag = Dag.from_names(binary_scheme(3), [("X0", "X1"), ("X1", "X2")])
-    coll_dag = Dag.from_names(binary_scheme(3), [("X0", "X2"), ("X1", "X2")])
+    chain_dag = Dag(binary_scheme(3), [("X0", "X1"), ("X1", "X2")])
+    coll_dag = Dag(binary_scheme(3), [("X0", "X2"), ("X1", "X2")])
     chain_ok = (
         structural_hamming_distance(
             pc_run(sample_from_network(strong_chain_net(), 10_000, 0)),

@@ -154,7 +154,7 @@ class TestCpd:
         assert outcome(Cpd, "A", (), empty) == outcome(per_row_check, "A", empty)
 
     def test_network_validates_parent_order(self, abc_scheme):
-        dag = Dag.from_names(abc_scheme, [("X0", "X2"), ("X1", "X2")])
+        dag = Dag(abc_scheme, [("X0", "X2"), ("X1", "X2")])
         cpds = {
             "X0": Cpd("X0", (), np.array([[0.5, 0.5]])),
             "X1": Cpd("X1", (), np.array([[0.5, 0.5]])),
@@ -169,6 +169,12 @@ class TestCpd:
         with pytest.raises(UnparameterizedNetwork):
             BayesianNetwork(dag, {"X0": Cpd("X0", (), np.array([[0.5, 0.5]]))})
 
+    def test_cpd_filed_under_another_variable_rejected(self):
+        half = np.array([[0.5, 0.5]])
+        cpds = {"X0": Cpd("X1", (), half), "X1": Cpd("X0", (), half)}
+        with pytest.raises(UnparameterizedNetwork, match="CPD for X1 is filed under X0"):
+            BayesianNetwork(Dag(binary_scheme(2)), cpds)
+
 
 class TestFitCpds:
     def test_posterior_mean_hand_value(self):
@@ -182,7 +188,7 @@ class TestFitCpds:
     def test_unobserved_config_uniform(self):
         scheme = binary_scheme(2)
         data = CategoricalDataset(scheme, np.array([[0, 0], [0, 1]]))
-        net = fit_cpds(Dag.from_names(scheme, [("X0", "X1")]), data, 2.0)
+        net = fit_cpds(Dag(scheme, [("X0", "X1")]), data, 2.0)
         # X0=1 never observed: row is the prior mean, i.e. uniform.
         assert net.cpds["X1"].table[1].tolist() == pytest.approx([0.5, 0.5])
 
@@ -199,12 +205,22 @@ class TestFitCpds:
         with pytest.raises(ValueError, match="prior_ess must be positive and finite"):
             fit_cpds(Dag(scheme), data, ess)
 
+    @pytest.mark.parametrize("a_states", [["0", "1"], ["0", "1", "2"]])
+    def test_dag_over_another_scheme_rejected(self, a_states):
+        # Same-sized columns would be fitted silently, a wider variable would
+        # fail on a CPD shape the data never had.
+        dag = Dag(VariableScheme.of([("A", a_states), ("B", ["0", "1"])]), {(0, 1)})
+        xy = VariableScheme.of([("X", ["0", "1"]), ("Y", ["0", "1"])])
+        data = CategoricalDataset(xy, np.array([[0, 1], [1, 0]]))
+        with pytest.raises(ValueError, match="dag and data use different schemes"):
+            fit_cpds(dag, data, 1.0)
+
     def test_filled_count_memo_gives_identical_tables(self):
         scheme = binary_scheme(4)
         rng = np.random.default_rng(5)
         rows = rng.integers(0, 2, size=(300, 4))
-        dag = Dag.from_names(scheme, [("X0", "X2"), ("X1", "X2"), ("X2", "X3")])
-        other = Dag.from_names(scheme, [("X2", "X0"), ("X3", "X2"), ("X1", "X3")])
+        dag = Dag(scheme, [("X0", "X2"), ("X1", "X2"), ("X2", "X3")])
+        other = Dag(scheme, [("X2", "X0"), ("X3", "X2"), ("X1", "X3")])
         warm = CategoricalDataset(scheme, rows)
         fit_cpds(other, warm, 1.0)
         contingency_counts(warm, "X2", ("X1", "X0"))
@@ -254,7 +270,7 @@ class TestInference:
 
     def test_zero_probability_evidence(self):
         scheme = binary_scheme(2)
-        dag = Dag.from_names(scheme, [("X0", "X1")])
+        dag = Dag(scheme, [("X0", "X1")])
         net = BayesianNetwork(
             dag,
             {
@@ -293,7 +309,7 @@ class TestInference:
     @pytest.mark.parametrize("infer", [variable_elimination, brute_force_query])
     def test_posterior_is_an_array_with_one_axis_per_query_variable(self, infer):
         scheme = VariableScheme.of([("A", ("0", "1")), ("B", ("0", "1", "2"))])
-        net = random_network(Dag.from_names(scheme, [("A", "B")]), seed=3)
+        net = random_network(Dag(scheme, [("A", "B")]), seed=3)
         ab, ba = infer(net, ["A", "B"]), infer(net, ["B", "A"])
         assert type(ab) is np.ndarray and ab.shape == (2, 3)
         assert np.allclose(ba, ab.T, rtol=0, atol=1e-15)
@@ -368,7 +384,7 @@ class TestPlanCache:
 
     def test_networks_of_one_dag_share_a_plan(self):
         scheme = binary_scheme(5)
-        dag = Dag.from_names(
+        dag = Dag(
             scheme,
             [("X0", "X1"), ("X1", "X2"), ("X0", "X3"), ("X3", "X2"), ("X2", "X4")],
         )
@@ -386,7 +402,7 @@ class TestPlanCache:
 
     def test_zero_probability_evidence_on_a_cache_hit(self):
         scheme = binary_scheme(2)
-        dag = Dag.from_names(scheme, [("X0", "X1")])
+        dag = Dag(scheme, [("X0", "X1")])
         net = BayesianNetwork(
             dag,
             {

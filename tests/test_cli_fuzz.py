@@ -36,7 +36,7 @@ SCHEME = VariableScheme.of(
     ]
 )
 NETWORK = random_network(
-    Dag.from_names(SCHEME, [("AGE", "SMOKING"), ("SMOKING", "X")]), seed=1
+    Dag(SCHEME, [("AGE", "SMOKING"), ("SMOKING", "X")]), seed=1
 )
 # The network file's X table holds the numbers 0 and 1, which a JSON boolean
 # also reads as.

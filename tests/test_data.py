@@ -242,6 +242,14 @@ class TestContingency:
             assert np.array_equal(n_i, n_ij.sum(axis=1))
             assert not n_i.flags.writeable
 
+    @pytest.mark.parametrize(
+        "n_ij, n_i",
+        [(np.array([[100, 100]], dtype=np.int8), [200]), (np.array([[True, True]]), [2])],
+    )
+    def test_row_totals_of_a_narrow_table_do_not_wrap(self, n_ij, n_i):
+        totals = CountTable(n_ij).n_i
+        assert totals.tolist() == n_i and totals.dtype == n_ij.sum(axis=1).dtype
+
     def test_one_parent(self):
         data = CategoricalDataset(AB, np.array([[0, 0], [0, 2], [1, 1]]))
         table = contingency_counts(data, "B", ("A",))

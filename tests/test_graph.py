@@ -89,7 +89,7 @@ class TestScheme:
         # -1 is not the last variable and True is not variable 1, in every
         # lookup as in variable elimination.
         s = binary_scheme(3)
-        dag = Dag.from_names(s, [("X0", "X1"), ("X1", "X2")])
+        dag = Dag(s, [("X0", "X1"), ("X1", "X2")])
         data = CategoricalDataset(s, np.array([[0, 1, 1], [1, 0, 1]]))
         lookups = (dag.parents, dag.children, data.column, s.states, s.cardinality)
         for lookup in lookups:
@@ -97,6 +97,51 @@ class TestScheme:
             assert np.array_equal(lookup(np.int64(1)), lookup(1))
             with pytest.raises(error):
                 lookup(key)
+
+
+class TestEndpoints:
+    """Every edge endpoint is read by VariableScheme.resolve."""
+
+    def test_names_indices_and_numpy_integers_build_one_graph(self):
+        s = binary_scheme(3)
+        spellings = [
+            [("X0", "X1"), ("X1", "X2")],
+            [(0, 1), (1, 2)],
+            [(np.int64(0), np.int32(1)), (np.uint8(1), np.int64(2))],
+            [("X0", 1), (np.int64(1), "X2")],
+        ]
+        dags = [Dag(s, edges) for edges in spellings]
+        pdags = [Pdag(s, edges[:1], edges[1:]) for edges in spellings]
+        assert all(dag == dags[1] for dag in dags)
+        assert all(pdag == pdags[1] for pdag in pdags)
+        endpoints = [v for dag in dags for e in dag.edges for v in e]
+        endpoints += [v for pdag in pdags for e in pdag.directed for v in e]
+        endpoints += [v for pdag in pdags for e in pdag.undirected for v in e]
+        assert {type(v) for v in endpoints} == {int}
+        assert dags[1].edges == {(0, 1), (1, 2)}
+        assert pdags[1].undirected == {frozenset({1, 2})}
+
+    @pytest.mark.parametrize(
+        "key, error",
+        [
+            (-1, UnknownVariable),
+            (3, UnknownVariable),
+            (True, TypeError),
+            (1.0, TypeError),
+            ("BOGUS", UnknownVariable),
+        ],
+    )
+    def test_an_endpoint_that_is_not_a_variable_is_rejected(self, key, error):
+        s = binary_scheme(3)
+        builds = (
+            lambda edge: Dag(s, {edge}),
+            lambda edge: Pdag(s, directed={edge}),
+            lambda edge: Pdag(s, undirected={edge}),
+        )
+        for build in builds:
+            for edge in (key, 0), (0, key):
+                with pytest.raises(error):
+                    build(edge)
 
 
 class TestIsAcyclic:
@@ -158,12 +203,12 @@ class TestTopologicalOrder:
 
     def test_tie_break(self):
         s = VariableScheme.of([(n, ("0", "1")) for n in "ABC"])
-        g = Dag.from_names(s, [("C", "A")])
+        g = Dag(s, [("C", "A")])
         assert g.topological_order() == [1, 2, 0]
 
     def test_chain(self):
         s = VariableScheme.of([(n, ("0", "1")) for n in "ABC"])
-        g = Dag.from_names(s, [("A", "B"), ("B", "C")])
+        g = Dag(s, [("A", "B"), ("B", "C")])
         assert g.topological_order() == [0, 1, 2]
 
     @settings(max_examples=50, deadline=None)
@@ -200,7 +245,7 @@ class TestTopologicalOrder:
             assert g.children(v) == tuple(sorted(w for u, w in edges if u == v))
 
     def test_add_closing_a_cycle_names_the_edge(self):
-        g = Dag.from_names(binary_scheme(3), [("X0", "X1"), ("X1", "X2")])
+        g = Dag(binary_scheme(3), [("X0", "X1"), ("X1", "X2")])
         with pytest.raises(CycleError, match="^self-loop on X1$"):
             Dag(g.scheme, g.edges | {(1, 1)})
         with pytest.raises(CycleError, match="^edge set contains a directed cycle$"):
@@ -210,12 +255,12 @@ class TestTopologicalOrder:
 class TestSerialization:
     def test_dot_directed(self):
         s = VariableScheme.of([("A", ("0", "1")), ("B", ("0", "1"))])
-        g = Dag.from_names(s, [("A", "B")])
+        g = Dag(s, [("A", "B")])
         assert '"A" -> "B";' in serialize_graph(g, "dot")
 
     def test_dot_undirected(self):
         s = VariableScheme.of([("A", ("0", "1")), ("B", ("0", "1"))])
-        g = Pdag.from_names(s, undirected=[("A", "B")])
+        g = Pdag(s, undirected=[("A", "B")])
         assert '"A" -> "B" [dir=none];' in serialize_graph(g, "dot")
 
     def test_unknown_format_rejected(self):
@@ -224,7 +269,7 @@ class TestSerialization:
 
     def test_dot_escapes_quote_and_backslash(self):
         s = VariableScheme.of([('a"b', ("0", "1")), ("c\\", ("0", "1"))])
-        g = Dag.from_names(s, [('a"b', "c\\")])
+        g = Dag(s, [('a"b', "c\\")])
         assert serialize_graph(g, "dot").splitlines() == [
             "digraph G {",
             '  "a\\"b";',
@@ -235,14 +280,14 @@ class TestSerialization:
 
     def test_json_round_trip_dag(self):
         s = binary_scheme(4)
-        g = Dag.from_names(s, [("X0", "X1"), ("X2", "X3"), ("X0", "X3")])
+        g = Dag(s, [("X0", "X1"), ("X2", "X3"), ("X0", "X3")])
         back = parse_graph_json(serialize_graph(g, "json"))
         assert back.edges == g.edges
         assert back.scheme == g.scheme
 
     def test_json_round_trip_pdag(self):
         s = binary_scheme(4)
-        g = Pdag.from_names(
+        g = Pdag(
             s, directed=[("X0", "X1")], undirected=[("X2", "X3")]
         )
         back = parse_graph_json(serialize_graph(g, "json"))
@@ -275,7 +320,7 @@ class TestSerialization:
 
     def test_json_variables_must_match_given_scheme(self):
         s = binary_scheme(3)
-        text = serialize_graph(Dag.from_names(s, [("X0", "X1")]), "json")
+        text = serialize_graph(Dag(s, [("X0", "X1")]), "json")
         assert parse_graph_json(text, s).edges == {(0, 1)}
         payload = json.loads(text)
         payload["variables"].reverse()
@@ -284,18 +329,24 @@ class TestSerialization:
         del payload["variables"]
         assert parse_graph_json(json.dumps(payload), s).edges == {(0, 1)}
 
+    def test_graph_file_edges_are_indices_not_names(self):
+        payload = json.loads(serialize_graph(Dag(binary_scheme(2)), "json"))
+        for key in "directed", "undirected":
+            with pytest.raises(SchemaMismatch, match="not a pair of variable indices"):
+                parse_graph_json(json.dumps({**payload, key: [["X0", "X1"]]}))
+
 
 class TestPdag:
     def test_disjoint_sets_enforced(self):
         s = binary_scheme(2)
         with pytest.raises(ValueError):
-            Pdag.from_names(s, directed=[("X0", "X1")], undirected=[("X0", "X1")])
+            Pdag(s, directed=[("X0", "X1")], undirected=[("X0", "X1")])
 
     def test_undirected_self_loop_rejected(self):
         s = binary_scheme(2)
         with pytest.raises(ValueError, match="not two variables"):
             Pdag(s, undirected=frozenset({frozenset({0})}))
-        text = serialize_graph(Pdag.from_names(s, undirected=[("X0", "X1")]), "json")
+        text = serialize_graph(Pdag(s, undirected=[("X0", "X1")]), "json")
         payload = {**json.loads(text), "undirected": [[0, 0]]}
         with pytest.raises(SchemaMismatch, match=r"undirected edge \[0\]"):
             parse_graph_json(json.dumps(payload))
@@ -307,10 +358,10 @@ class TestPdag:
     def test_double_orientation_rejected(self):
         s = binary_scheme(2)
         with pytest.raises(ValueError):
-            Pdag.from_names(s, directed=[("X0", "X1"), ("X1", "X0")])
+            Pdag(s, directed=[("X0", "X1"), ("X1", "X0")])
 
     def test_neighbours_are_derived_whatever_the_marks(self):
-        pdag = Pdag.from_names(
+        pdag = Pdag(
             binary_scheme(5),
             directed=[("X0", "X1"), ("X2", "X1")],
             undirected=[("X1", "X3")],

@@ -100,7 +100,7 @@ def blocked_net():
         ("Y", ("0", "1")),
         ("E", ("0", "1")),
     ])
-    dag = Dag.from_names(scheme, [("M", "T"), ("M", "Y"), ("T", "Y"), ("T", "E")])
+    dag = Dag(scheme, [("M", "T"), ("M", "Y"), ("T", "Y"), ("T", "E")])
     return BayesianNetwork(dag, {
         "M": Cpd("M", (), np.array([[0.6, 0.4]])),
         "T": Cpd("T", ("M",), np.array([[0.5, 0.3, 0.2], [0.1, 0.3, 0.6]])),
@@ -148,7 +148,7 @@ class TestAte:
         scheme = VariableScheme.of(
             [("T", ("0", "1")), ("E", ("0", "1")), ("Y", ("0", "1"))]
         )
-        net = BayesianNetwork(Dag.from_names(scheme, [("T", "Y"), ("E", "Y")]), {
+        net = BayesianNetwork(Dag(scheme, [("T", "Y"), ("E", "Y")]), {
             "T": Cpd("T", (), np.array([[0.5, 0.5]])),
             "E": Cpd("E", (), np.array([[1.0, 0.0]])),
             "Y": Cpd("Y", ("T", "E"), np.full((4, 2), 0.5)),
@@ -307,7 +307,7 @@ class TestAteGrid:
 
     def test_grid_rejects_evidence_impossible_under_an_arm(self):
         # KRAS = Present cannot occur under Immunotherapy, the last state.
-        dag = Dag.from_names(
+        dag = Dag(
             nsclc.SCHEME,
             [("TREATMENTPLAN", "SURVIVALMONTHS"), ("TREATMENTPLAN", "KRAS")],
         )

@@ -185,6 +185,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             NotearsConfig(**{field: value})
 
+    @pytest.mark.parametrize("max_iter", [2.5, True, 0])
+    def test_max_iter_is_an_integer_from_one(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            NotearsConfig(max_iter=max_iter)
+        assert NotearsConfig(max_iter=np.int64(1)).max_iter == 1
+
 
 class TestFit:
     def test_two_node_linear_sem(self):
@@ -222,7 +228,7 @@ class TestFit:
 
     def test_categorical_dataset_input(self):
         scheme = binary_scheme(3)
-        dag = Dag.from_names(scheme, [("X0", "X1")])
+        dag = Dag(scheme, [("X0", "X1")])
         data = sample_from_network(random_network(dag, seed=2), 500, 0)
         result = notears_fit(data)
         assert result.dag.scheme == scheme
@@ -231,6 +237,13 @@ class TestFit:
     def test_raw_matrix_requires_scheme(self):
         with pytest.raises(ShapeError):
             notears_fit(np.zeros((10, 2)))
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_raw_matrix_is_rejected_before_fitting(self, cell):
+        x = np.random.default_rng(1).normal(size=(50, 2))
+        x[3, 1] = cell
+        with pytest.raises(ShapeError, match="non-finite"):
+            notears_fit(x, scheme=binary_scheme(2))
 
     def test_an_empty_scheme_is_a_shape_error_naming_the_input(self):
         with pytest.raises(ShapeError, match=r"shape \(5, 0\) has no variables"):

@@ -37,7 +37,7 @@ from conftest import binary_scheme
 
 def strong_chain_net():
     scheme = binary_scheme(3)
-    dag = Dag.from_names(scheme, CHAIN)
+    dag = Dag(scheme, CHAIN)
     return BayesianNetwork(
         dag,
         {
@@ -50,7 +50,7 @@ def strong_chain_net():
 
 def strong_collider_net():
     scheme = binary_scheme(3)
-    dag = Dag.from_names(scheme, COLLIDER)
+    dag = Dag(scheme, COLLIDER)
     table = np.array([[0.9, 0.1], [0.6, 0.4], [0.5, 0.5], [0.05, 0.95]])
     return BayesianNetwork(
         dag,
@@ -231,22 +231,22 @@ COLLIDER = ("X0", "X2"), ("X1", "X2")
 
 class TestDSeparation:
     def test_chain(self):
-        dag = Dag.from_names(binary_scheme(3), CHAIN)
+        dag = Dag(binary_scheme(3), CHAIN)
         assert not d_separated(dag, 0, 2, ())
         assert d_separated(dag, 0, 2, (1,))
 
     def test_fork(self):
-        dag = Dag.from_names(binary_scheme(3), [("X1", "X0"), ("X1", "X2")])
+        dag = Dag(binary_scheme(3), [("X1", "X0"), ("X1", "X2")])
         assert not d_separated(dag, 0, 2, ())
         assert d_separated(dag, 0, 2, (1,))
 
     def test_collider(self):
-        dag = Dag.from_names(binary_scheme(3), COLLIDER)
+        dag = Dag(binary_scheme(3), COLLIDER)
         assert d_separated(dag, 0, 1, ())
         assert not d_separated(dag, 0, 1, (2,))
 
     def test_collider_descendant_opens_path(self):
-        dag = Dag.from_names(
+        dag = Dag(
             binary_scheme(4), [("X0", "X2"), ("X1", "X2"), ("X2", "X3")]
         )
         assert d_separated(dag, 0, 1, ())
@@ -255,7 +255,7 @@ class TestDSeparation:
     def test_reads_the_edges_of_the_dag_it_is_given(self):
         # d_separated walks the Dag's cached parents/children; an edge added
         # to a copy must open a path there and nowhere else.
-        chain = Dag.from_names(binary_scheme(3), CHAIN)
+        chain = Dag(binary_scheme(3), CHAIN)
         assert d_separated(chain, 0, 2, (1,))
         shortcut = Dag(chain.scheme, chain.edges | {(0, 2)})
         assert not d_separated(shortcut, 0, 2, (1,))
@@ -493,7 +493,7 @@ class TestVectorisedCiTest:
 
 class TestSkeleton:
     def test_oracle_chain(self):
-        dag = Dag.from_names(binary_scheme(3), CHAIN)
+        dag = Dag(binary_scheme(3), CHAIN)
         skeleton, sepsets = learn_skeleton(make_ci_from_dag(dag))
         assert skeleton.skeleton_pairs() == {
             frozenset((0, 1)),
@@ -502,7 +502,7 @@ class TestSkeleton:
         assert sepsets.get(0, 2) == frozenset((1,))
 
     def test_oracle_collider_sepset_excludes_collider(self):
-        dag = Dag.from_names(binary_scheme(3), COLLIDER)
+        dag = Dag(binary_scheme(3), COLLIDER)
         skeleton, sepsets = learn_skeleton(make_ci_from_dag(dag))
         assert sepsets.get(0, 1) == frozenset()
 
@@ -518,7 +518,7 @@ class TestSkeleton:
             pc_run(data, 0.05, depth)
 
     def test_max_cond_size_zero_keeps_chain_endpoints(self):
-        dag = Dag.from_names(binary_scheme(3), CHAIN)
+        dag = Dag(binary_scheme(3), CHAIN)
         skeleton, _ = learn_skeleton(make_ci_from_dag(dag), max_cond_size=0)
         # Without conditioning, X0 and X2 remain dependent, edge survives.
         assert frozenset((0, 2)) in skeleton.skeleton_pairs()
@@ -583,7 +583,7 @@ class TestBatchedSkeleton:
             assert sum(count for _, count, _ in levels) == len(computed)
 
     def test_level_counts_on_the_oracle_chain(self, caplog):
-        dag = Dag.from_names(binary_scheme(3), CHAIN)
+        dag = Dag(binary_scheme(3), CHAIN)
         learn_skeleton(make_ci_from_dag(dag))
         assert caplog.records == []  # DEBUG is off by default
         with caplog.at_level(logging.DEBUG, logger="causalkit.pc"):
@@ -597,7 +597,7 @@ class TestBatchedSkeleton:
 
 class TestOrientation:
     def test_collider_oriented(self):
-        dag = Dag.from_names(binary_scheme(3), COLLIDER)
+        dag = Dag(binary_scheme(3), COLLIDER)
         skeleton, sepsets = learn_skeleton(make_ci_from_dag(dag))
         out = orient_v_structures(skeleton, sepsets)
         assert out.directed == {(0, 2), (1, 2)}
@@ -605,7 +605,7 @@ class TestOrientation:
     def test_conflict_left_undirected(self, caplog):
         # Manufactured conflicting sepsets around a triangle-free square.
         scheme = binary_scheme(4)
-        skeleton = Pdag.from_names(
+        skeleton = Pdag(
             scheme,
             undirected=[("X0", "X1"), ("X1", "X2"), ("X2", "X3"), ("X3", "X0")],
         )
@@ -622,7 +622,7 @@ class TestOrientation:
         assert sorted(map(sorted, warned)) == sorted(map(sorted, out.undirected))
 
     def test_oriented_edges_leave_the_undirected_set(self):
-        dag = Dag.from_names(
+        dag = Dag(
             binary_scheme(4), [("X0", "X2"), ("X1", "X2"), ("X2", "X3")]
         )
         skeleton, sepsets = learn_skeleton(make_ci_from_dag(dag))
@@ -634,7 +634,7 @@ class TestOrientation:
 class TestMeekRules:
     def test_r1(self):
         scheme = binary_scheme(3)
-        pdag = Pdag.from_names(
+        pdag = Pdag(
             scheme, directed=[("X0", "X1")], undirected=[("X1", "X2")]
         )
         out = meek_closure(pdag)
@@ -642,7 +642,7 @@ class TestMeekRules:
 
     def test_r2(self):
         scheme = binary_scheme(3)
-        pdag = Pdag.from_names(
+        pdag = Pdag(
             scheme,
             directed=[("X0", "X1"), ("X1", "X2")],
             undirected=[("X0", "X2")],
@@ -652,7 +652,7 @@ class TestMeekRules:
 
     def test_r3(self):
         scheme = binary_scheme(4)
-        pdag = Pdag.from_names(
+        pdag = Pdag(
             scheme,
             directed=[("X1", "X3"), ("X2", "X3")],
             undirected=[("X0", "X1"), ("X0", "X2"), ("X0", "X3")],
@@ -662,7 +662,7 @@ class TestMeekRules:
 
     def test_r4(self):
         scheme = binary_scheme(4)
-        pdag = Pdag.from_names(
+        pdag = Pdag(
             scheme,
             directed=[("X2", "X3"), ("X3", "X1")],
             undirected=[("X0", "X1"), ("X0", "X2"), ("X0", "X3")],
@@ -694,7 +694,7 @@ class TestMeekRules:
         self, directed, undirected, expected_directed
     ):
         n = 1 + max(int(name[1:]) for edge in directed + undirected for name in edge)
-        pdag = Pdag.from_names(
+        pdag = Pdag(
             binary_scheme(n), directed=directed, undirected=undirected
         )
         out = meek_closure(pdag)
@@ -703,14 +703,14 @@ class TestMeekRules:
 
     def test_never_unorients(self):
         scheme = binary_scheme(3)
-        pdag = Pdag.from_names(scheme, directed=[("X0", "X1")])
+        pdag = Pdag(scheme, directed=[("X0", "X1")])
         out = meek_closure(pdag)
         assert pdag.directed <= out.directed
 
     def test_guarded_closure_needs_an_acyclic_start(self):
         # R1 orients X2 -> X3 (X1 -> X2 - X3, X1 and X3 nonadjacent), but the
         # directed part X0 -> X1 -> X2 -> X0 is already a cycle.
-        pdag = Pdag.from_names(
+        pdag = Pdag(
             binary_scheme(4),
             directed=[("X0", "X1"), ("X1", "X2"), ("X2", "X0")],
             undirected=[("X2", "X3")],
@@ -729,14 +729,14 @@ class TestAcyclicGuard:
     )
 
     def test_meek_closure_follows_r1_literally(self):
-        pdag = Pdag.from_names(binary_scheme(5), **self.PDAG)
+        pdag = Pdag(binary_scheme(5), **self.PDAG)
         out = meek_closure(pdag)
         assert out.directed == pdag.directed | {(0, 1)}
         with pytest.raises(CycleError):
             Dag(pdag.scheme, out.directed)
 
     def test_guard_keeps_the_edge_undirected_and_warns_once(self, caplog):
-        pdag = Pdag.from_names(binary_scheme(5), **self.PDAG)
+        pdag = Pdag(binary_scheme(5), **self.PDAG)
         with caplog.at_level(logging.WARNING, logger="causalkit.pc"):
             out = meek_closure(pdag, acyclic=True)
         assert (out.directed, out.undirected) == (pdag.directed, pdag.undirected)
@@ -794,7 +794,7 @@ class TestAcyclicGuard:
 
 class TestPipeline:
     def test_oracle_pipeline_equals_cpdag_on_collider(self):
-        dag = Dag.from_names(binary_scheme(3), COLLIDER)
+        dag = Dag(binary_scheme(3), COLLIDER)
         out = pc_run(make_ci_from_dag(dag))
         cpdag = dag_to_cpdag(dag)
         assert structural_hamming_distance(out, cpdag) == 0
@@ -809,13 +809,13 @@ class TestPipeline:
             assert out.undirected == cpdag.undirected, seed
 
     def test_data_pipeline_recovers_chain_pattern(self):
-        dag = Dag.from_names(binary_scheme(3), CHAIN)
+        dag = Dag(binary_scheme(3), CHAIN)
         data = sample_from_network(strong_chain_net(), 10_000, 0)
         out = pc_run(data)
         assert structural_hamming_distance(out, dag_to_cpdag(dag)) == 0
 
     def test_data_pipeline_recovers_collider_pattern(self):
-        dag = Dag.from_names(binary_scheme(3), COLLIDER)
+        dag = Dag(binary_scheme(3), COLLIDER)
         data = sample_from_network(strong_collider_net(), 10_000, 0)
         out = pc_run(data)
         assert structural_hamming_distance(out, dag_to_cpdag(dag)) == 0
@@ -823,29 +823,29 @@ class TestPipeline:
 
 class TestCpdagAndShd:
     def test_chain_is_fully_undirected(self):
-        dag = Dag.from_names(binary_scheme(3), CHAIN)
+        dag = Dag(binary_scheme(3), CHAIN)
         cpdag = dag_to_cpdag(dag)
         assert cpdag.directed == frozenset()
         assert len(cpdag.undirected) == 2
 
     def test_markov_equivalent_dags_share_cpdag(self):
         scheme = binary_scheme(3)
-        a = dag_to_cpdag(Dag.from_names(scheme, CHAIN))
+        a = dag_to_cpdag(Dag(scheme, CHAIN))
         b = dag_to_cpdag(
-            Dag.from_names(scheme, [("X1", "X0"), ("X1", "X2")])
+            Dag(scheme, [("X1", "X0"), ("X1", "X2")])
         )
         assert a.directed == b.directed and a.undirected == b.undirected
 
     def test_shd_zero_iff_identical(self):
-        dag = Dag.from_names(binary_scheme(3), COLLIDER)
+        dag = Dag(binary_scheme(3), COLLIDER)
         cpdag = dag_to_cpdag(dag)
         assert structural_hamming_distance(cpdag, cpdag) == 0
 
     def test_shd_counts_each_kind_of_mismatch(self):
         scheme = binary_scheme(3)
-        a = Pdag.from_names(scheme, directed=[("X0", "X1")])
-        b = Pdag.from_names(scheme, directed=[("X1", "X0")])
-        c = Pdag.from_names(scheme, undirected=[("X0", "X1")])
+        a = Pdag(scheme, directed=[("X0", "X1")])
+        b = Pdag(scheme, directed=[("X1", "X0")])
+        c = Pdag(scheme, undirected=[("X0", "X1")])
         d = Pdag(scheme)
         assert structural_hamming_distance(a, b) == 1  # reversal
         assert structural_hamming_distance(a, c) == 1  # orientation loss

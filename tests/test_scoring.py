@@ -146,8 +146,8 @@ class TestCanonicalVariant:
         scheme = binary_scheme(2)
         rng = np.random.default_rng(0)
         data = CategoricalDataset(scheme, rng.integers(0, 2, size=(200, 2)))
-        fwd = bdeu_total(Dag.from_names(scheme, [("X0", "X1")]), data, 10.0)
-        rev = bdeu_total(Dag.from_names(scheme, [("X1", "X0")]), data, 10.0)
+        fwd = bdeu_total(Dag(scheme, [("X0", "X1")]), data, 10.0)
+        rev = bdeu_total(Dag(scheme, [("X1", "X0")]), data, 10.0)
         assert fwd.total == pytest.approx(rev.total, abs=1e-9)
 
 
@@ -312,7 +312,7 @@ class TestScoreTable:
         scheme = binary_scheme(2)
         rng = np.random.default_rng(0)
         data = CategoricalDataset(scheme, rng.integers(0, 2, size=(50, 2)))
-        dag = Dag.from_names(scheme, [("X0", "X1")])
+        dag = Dag(scheme, [("X0", "X1")])
         ess_values = (5.0, 10.0, 15.0)
         reports = {
             "g1": [bdeu_total(dag, data, e) for e in ess_values],

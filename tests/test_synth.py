@@ -140,7 +140,7 @@ class TestSampleFromNetwork:
             [0.7, 0.0, 0.3 - 1e-10, 0.0],
         ]
         net = BayesianNetwork(
-            Dag.from_names(scheme, [("A", "B")]),
+            Dag(scheme, [("A", "B")]),
             {
                 "A": Cpd("A", (), np.array([a_row])),
                 "B": Cpd("B", ("A",), np.array(b_rows)),
@@ -164,7 +164,7 @@ class TestSampleFromNetwork:
         row = [0.5, 0.5 - 5e-10]
         scheme = binary_scheme(2)
         net = BayesianNetwork(
-            Dag.from_names(scheme, [("X0", "X1")]),
+            Dag(scheme, [("X0", "X1")]),
             {
                 "X0": Cpd("X0", (), np.array([row])),
                 "X1": Cpd("X1", ("X0",), np.array([row, row])),
@@ -178,7 +178,7 @@ class TestSampleFromNetwork:
 class TestRandomNetwork:
     def test_rows_stochastic_and_deterministic(self):
         scheme = binary_scheme(3)
-        dag = Dag.from_names(scheme, [("X0", "X1"), ("X1", "X2")])
+        dag = Dag(scheme, [("X0", "X1"), ("X1", "X2")])
         net_a = random_network(dag, seed=4)
         net_b = random_network(dag, seed=4)
         for name in scheme.names:

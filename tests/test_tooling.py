@@ -1,6 +1,7 @@
 """The repository's tooling: its pytest settings, run on a throwaway test
-file, and the names the benchmark's tracer wraps."""
+file, and the names the benchmark imports and its tracer wraps."""
 
+import ast
 import importlib
 import importlib.util
 import subprocess
@@ -58,3 +59,24 @@ def test_every_traced_name_resolves():
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # The benchmark imports inside its workloads; a deleted or renamed name
+    # would otherwise fail only a benchmark run.
+    imported = [
+        (node.module, alias.name)
+        for path in sorted((ROOT / "bench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("causalkit")
+        for alias in node.names
+    ]
+    missing = []
+    for module, name in imported:
+        owner = importlib.import_module(module)
+        if not hasattr(owner, name):
+            try:
+                importlib.import_module(f"{module}.{name}")  # a submodule
+            except ModuleNotFoundError:
+                missing.append(f"{module}.{name}")
+    assert imported and not missing
