@@ -176,7 +176,7 @@ def fit_cpds(
     P(j|i) = (n_ij + a/(N_i*N_j)) / (n_i + a/N_i); parent configurations
     never observed get the uniform distribution.
     """
-    if not 0 < prior_ess < math.inf:
+    if isinstance(prior_ess, (bool, np.bool_)) or not 0 < prior_ess < math.inf:
         raise ValueError("prior_ess must be positive and finite")
     if dag.scheme is not data.scheme and dag.scheme != data.scheme:
         raise ValueError("dag and data use different schemes")

@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
+import numbers
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +38,23 @@ class InterventionQuery:
             raise UnknownVariable("outcome must differ from treatment")
         if self.treatment in self.evidence:
             raise UnknownVariable("treatment cannot also be evidence")
-        missing = set(net.scheme.states(self.outcome)) - set(self.outcome_values)
+        states = set(net.scheme.states(self.outcome))
+        missing = states - set(self.outcome_values)
         if missing:
             raise UnknownState(f"outcome_values missing states {sorted(missing)}")
+        extra = set(self.outcome_values) - states
+        if extra:
+            raise UnknownState(
+                f"outcome_values has {sorted(extra, key=repr)}, not states of {self.outcome}"
+            )
+        for state, value in self.outcome_values.items():
+            # A bool is not a value of the outcome; written so that NaN fails too.
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and -math.inf < value < math.inf
+            ):
+                raise ValueError(
+                    f"outcome_values[{state!r}] is {value!r}, not a finite real number"
+                )
 
 
 def _cut(net: BayesianNetwork, node: str, prior: np.ndarray) -> BayesianNetwork:
@@ -55,13 +72,21 @@ def apply_do(net: BayesianNetwork, node: str, state: str) -> BayesianNetwork:
     return _cut(net, node, point)
 
 
+# The randomized networks built so far, by network and then node.  A network
+# hashes by identity, so its entry lives exactly as long as it does.
+_RANDOMIZED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _randomized(net: BayesianNetwork, node: str) -> BayesianNetwork:
     """`net` with `node` cut from its parents and given the uniform prior, as
-    if assigned at random.  For a power-of-two cardinality, such as
-    TREATMENTPLAN's 4, scaling by 1/card is exact, so arms that cannot move
-    the outcome come out bit-equal."""
-    card = net.scheme.cardinality(node)
-    return _cut(net, node, np.full(card, 1.0 / card))
+    if assigned at random, built once per network and node.  For a
+    power-of-two cardinality, such as TREATMENTPLAN's 4, scaling by 1/card is
+    exact, so arms that cannot move the outcome come out bit-equal."""
+    built = _RANDOMIZED.setdefault(net, {})
+    if node not in built:
+        card = net.scheme.cardinality(node)
+        built[node] = _cut(net, node, np.full(card, 1.0 / card))
+    return built[node]
 
 
 def _arms(

@@ -204,9 +204,10 @@ _AFFIRMATION_PATTERNS = (
 
 def parse_verdict(completion: str) -> str:
     """The verdict "yes", "no" or "uncertain" by a rule cascade over the text:
-    a leading "yes", then the negations, then the affirmations."""
+    "yes" as its first word in any case, then the negations, then the
+    affirmations."""
     lowered = completion.lower()
-    if lowered.startswith(("yes,", "yes ")):
+    if re.match(r"\s*yes\b", lowered):
         return "yes"
     for verdict, patterns in ("no", _NEGATION_PATTERNS), ("yes", _AFFIRMATION_PATTERNS):
         if any(pattern in lowered for pattern in patterns):

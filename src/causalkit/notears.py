@@ -27,21 +27,6 @@ log = logging.getLogger(__name__)
 RHO_MAX = 1e16  # the augmented Lagrangian stops raising rho (from 1) here
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedAdjacency:
-    scheme: VariableScheme
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "w", w)
-        d = len(self.scheme)
-        if w.shape != (d, d):
-            raise ShapeError(f"W has shape {w.shape}, expected ({d}, {d})")
-        if not np.isfinite(w).all():
-            raise ShapeError("W has non-finite entries")
-
-
 @dataclass(frozen=True)
 class NotearsConfig:
     max_iter: int = 100
@@ -63,9 +48,9 @@ class NotearsConfig:
             raise ValueError("h_tol must be in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NotearsResult:
-    raw: WeightedAdjacency
+    raw: np.ndarray  # the fitted (d, d) float64 W before thresholding, read-only
     dag: Dag
     h_final: float
     converged: bool
@@ -148,23 +133,24 @@ def notears_fit(
 ) -> NotearsResult:
     """Fit the weighted adjacency and threshold it to a Dag.
 
-    `data` is a CategoricalDataset (encoded to standardized state indices)
-    or a raw numeric matrix with an explicit scheme.
+    `data` is a CategoricalDataset (its state indices, centered) or a raw
+    numeric matrix with an explicit scheme.  Both are checked alike: the
+    scheme has variables, the matrix is (N, d) with N >= 1, every cell finite.
     """
     if isinstance(data, CategoricalDataset):
-        scheme = data.scheme
-        x = standardize(data.rows)
-    else:
-        if scheme is None:
-            raise ShapeError("raw matrix input requires a scheme")
-        x = np.asarray(data, dtype=float)
-        if not np.isfinite(x).all():
-            # The optimizer would never leave W = 0 and call that converged.
-            raise ShapeError("raw matrix has non-finite entries")
-        x = standardize(x)
+        scheme, data = data.scheme, data.rows
+    elif scheme is None:
+        raise ShapeError("raw matrix input requires a scheme")
+    x = np.asarray(data, dtype=float)
     d = len(scheme)
     if d == 0:
         raise ShapeError(f"input of shape {x.shape} has no variables to fit")
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != d:
+        raise ShapeError(f"input has shape {x.shape}, expected (N, {d}) with N >= 1")
+    if not np.isfinite(x).all():
+        # The optimizer would never leave W = 0 and call that converged.
+        raise ShapeError("raw matrix has non-finite entries")
+    x = standardize(x)
     c = x.T @ x / x.shape[0]
     bounds = [(0, 0) if i == j else (0, None) for _ in range(2) for i in range(d) for j in range(d)]
 
@@ -205,8 +191,9 @@ def notears_fit(
             "NOTEARS learned 0 edges (largest |w| %.3g is below w_threshold %g)",
             np.abs(w).max(), config.w_threshold,
         )
+    w.setflags(write=False)
     return NotearsResult(
-        raw=WeightedAdjacency(scheme, w),
+        raw=w,
         dag=Dag(scheme, edges),
         h_final=h,
         converged=converged,

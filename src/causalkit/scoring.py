@@ -29,7 +29,7 @@ def bdeu_family_paper(counts: CountTable, alpha: float) -> float:
     smoothing term keeps every log argument strictly positive.  An unobserved
     configuration adds -a * ln(N_j); the rest is read from `counts.histogram`.
     """
-    if not 0 < alpha < math.inf:
+    if isinstance(alpha, (bool, np.bool_)) or not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     n_i, n_ij, m = counts.histogram
     r = counts.child_card
@@ -46,7 +46,7 @@ def bdeu_family_canonical(counts: CountTable, alpha: float) -> float:
     states: alpha_ij = alpha / (N_i * N_j).  Empty cells and unobserved
     configurations add 0; each cell carries 1/N_j of its configuration's term.
     """
-    if not 0 < alpha < math.inf:
+    if isinstance(alpha, (bool, np.bool_)) or not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     m = counts.histogram[2]
     r = counts.child_card

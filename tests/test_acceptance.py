@@ -343,7 +343,7 @@ def test_criterion_5_notears_correctness():
     result = notears_fit(np.column_stack([x0, x1]), scheme=binary_scheme(2))
     sem_ok = (
         result.dag.edges == {(0, 1)}
-        and abs(result.raw.w[0, 1] - 0.8) <= 0.1
+        and abs(result.raw[0, 1] - 0.8) <= 0.1
         and result.converged
         and result.h_final <= 1e-8
     )
@@ -352,7 +352,7 @@ def test_criterion_5_notears_correctness():
         h_ok and grad_ok and sem_ok,
         f"h(2-cycle) err={abs(h2 - (2 * np.cosh(1.0) - 2.0)):.2e}; gradients "
         f"match FD<=1e-5 rel; 2-node SEM edge={sorted(result.dag.edges)}, "
-        f"weight={result.raw.w[0, 1]:.3f} (target 0.8 +/- 0.1), "
+        f"weight={result.raw[0, 1]:.3f} (target 0.8 +/- 0.1), "
         f"h_final={result.h_final:.2e}",
     )
 

@@ -27,7 +27,7 @@ from causalkit.errors import (
 )
 from causalkit.graph import Dag, VariableScheme, serialize_graph
 from causalkit.intervention import AteGrid, ate_grid
-from causalkit.notears import NotearsResult, WeightedAdjacency
+from causalkit.notears import NotearsResult
 from causalkit.synth import random_network, reference_network, sample_from_network
 
 from conftest import binary_scheme, dag_from_insertions
@@ -200,6 +200,13 @@ class TestFitCpds:
 
     @pytest.mark.parametrize("ess", [math.nan, math.inf])
     def test_non_finite_ess_rejected(self, ess):
+        scheme = binary_scheme(2)
+        data = CategoricalDataset(scheme, np.array([[0, 0]]))
+        with pytest.raises(ValueError, match="prior_ess must be positive and finite"):
+            fit_cpds(Dag(scheme), data, ess)
+
+    @pytest.mark.parametrize("ess", [True, np.bool_(True)])
+    def test_a_bool_ess_is_rejected(self, ess):
         scheme = binary_scheme(2)
         data = CategoricalDataset(scheme, np.array([[0, 0]]))
         with pytest.raises(ValueError, match="prior_ess must be positive and finite"):
@@ -533,11 +540,8 @@ ARRAY_VALUES = {
     "CategoricalDataset": lambda: CategoricalDataset(binary_scheme(2), [[0, 1], [1, 0]]),
     "CountTable": lambda: CountTable(np.array([[1, 2], [3, 4]])),
     "Cpd": lambda: Cpd("A", (), np.array([[0.25, 0.75]])),
-    "WeightedAdjacency": lambda: WeightedAdjacency(binary_scheme(2), np.eye(2)),
     "AteGrid": lambda: AteGrid(("T1", "T2"), ("M",), np.zeros((2, 1))),
-    "NotearsResult": lambda: NotearsResult(
-        WeightedAdjacency(binary_scheme(2), np.eye(2)), Dag(binary_scheme(2)), 0.0, True
-    ),
+    "NotearsResult": lambda: NotearsResult(np.eye(2), Dag(binary_scheme(2)), 0.0, True),
     "BayesianNetwork": _two_node_network,
 }
 

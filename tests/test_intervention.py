@@ -1,5 +1,8 @@
+import gc
+import math
 import random
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -241,6 +244,25 @@ class TestAte:
         with pytest.raises(UnknownVariable):
             ate(confounded_net, binary_query(treated="maybe"))
 
+    def test_a_value_for_a_state_the_outcome_lacks_is_rejected(self, confounded_net):
+        extra = InterventionQuery("T", "1", "0", "Y", {"0": 0.0, "1": 1.0, "2": 5.0})
+        with pytest.raises(UnknownState, match=r"\['2'\], not states of Y"):
+            ate(confounded_net, extra)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, "1.0", True, np.bool_(True)]
+    )
+    def test_an_outcome_value_that_is_not_a_finite_real_is_rejected(
+        self, confounded_net, value
+    ):
+        q = InterventionQuery("T", "1", "0", "Y", {"0": 0.0, "1": value})
+        with pytest.raises(ValueError, match=r"outcome_values\['1'\] .* not a finite real"):
+            ate(confounded_net, q)
+
+    def test_numpy_reals_are_outcome_values(self, confounded_net):
+        q = InterventionQuery("T", "1", "0", "Y", {"0": np.int64(0), "1": np.float32(1)})
+        assert ate(confounded_net, q) == pytest.approx(0.4, abs=1e-7)
+
 
 class TestAteGrid:
     def test_shape_and_labels(self):
@@ -304,6 +326,33 @@ class TestAteGrid:
             monkeypatch.setattr(intervention, name, counted)
         ate_grid(reference_network())
         assert calls == {"_cut": 1, "variable_elimination": 8}
+
+    def test_one_randomized_network_per_network_and_treatment(self, monkeypatch):
+        memo = weakref.WeakKeyDictionary()
+        monkeypatch.setattr(intervention, "_RANDOMIZED", memo)
+        cuts = []
+        original = intervention._cut
+
+        def counted(*args):
+            cuts.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(intervention, "_cut", counted)
+        net = reference_network()
+        values = dict.fromkeys(net.scheme.states("SURVIVALMONTHS"), 0.0)
+        values[net.scheme.states("SURVIVALMONTHS")[-1]] = 1.0
+        for gene in ("KRAS", "EGFR"):
+            q = InterventionQuery(
+                "TREATMENTPLAN", "Chemotherapy", "Unknown", "SURVIVALMONTHS", values,
+                {gene: net.scheme.states(gene)[-1]},
+            )
+            ate(net, q)
+        ate_grid(net)
+        assert cuts == ["TREATMENTPLAN"]
+        assert list(memo) == [net]
+        del net
+        gc.collect()
+        assert len(memo) == 0
 
     def test_grid_rejects_evidence_impossible_under_an_arm(self):
         # KRAS = Present cannot occur under Immunotherapy, the last state.

@@ -76,6 +76,15 @@ class TestParseVerdict:
         assert parse_verdict("Yes, it does.") == "yes"
         assert parse_verdict("Yes it can.") == "yes"
 
+    @pytest.mark.parametrize(
+        "completion", ["Yes.", "Yes", "Yes!", "YES:", "Yes\nIt can.", " Yes, it does."]
+    )
+    def test_yes_as_the_first_word_in_any_form(self, completion):
+        assert parse_verdict(completion) == "yes"
+
+    def test_a_word_starting_with_yes_is_not_a_yes(self):
+        assert parse_verdict("Yesterday's smoking is hard to judge.") == "uncertain"
+
     def test_negation_beats_later_affirmation(self):
         text = "They do not have a direct cause, though age can have an impact on it."
         assert parse_verdict(text) == "no"

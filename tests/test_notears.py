@@ -1,14 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from causalkit import notears
+from causalkit.data import CategoricalDataset
 from causalkit.errors import ShapeError
 from causalkit.graph import Dag, VariableScheme
 from causalkit.notears import (
     NotearsConfig,
-    WeightedAdjacency,
     acyclicity_h,
     notears_fit,
     objective_and_grad,
@@ -145,7 +146,7 @@ class TestGramLoss:
         assert gram.converged == rows.converged
         assert gram.repaired_edges == rows.repaired_edges
         # L-BFGS-B (gtol 1e-6) may stop one step apart on the two paths.
-        assert np.abs(gram.raw.w - rows.raw.w).max() <= 1e-6
+        assert np.abs(gram.raw - rows.raw).max() <= 1e-6
 
 
 class TestStandardize:
@@ -207,8 +208,8 @@ class TestFit:
         assert result.converged
         assert result.h_final <= 1e-8
         assert result.dag.edges == {(0, 1)}
-        assert result.raw.w[0, 1] == pytest.approx(0.8, abs=0.1)
-        assert abs(result.raw.w[1, 0]) < 0.1
+        assert result.raw[0, 1] == pytest.approx(0.8, abs=0.1)
+        assert abs(result.raw[1, 0]) < 0.1
 
     def test_ten_node_chain_recovery(self):
         rng = np.random.default_rng(3)
@@ -249,6 +250,30 @@ class TestFit:
         with pytest.raises(ShapeError, match=r"shape \(5, 0\) has no variables"):
             notears_fit(np.zeros((5, 0)), scheme=VariableScheme(()))
 
+    @pytest.mark.parametrize(
+        "x", [np.zeros(20), np.zeros((4, 5, 2)), np.zeros((0, 2)), np.zeros((20, 3))],
+        ids=["1-D", "3-D", "no rows", "too wide"],
+    )
+    def test_a_raw_matrix_not_n_by_d_is_a_shape_error_naming_it(self, x):
+        expected = re.escape(f"shape {x.shape}, expected (N, 2)")
+        with pytest.raises(ShapeError, match=expected):
+            notears_fit(x, scheme=binary_scheme(2))
+
+    def test_a_dataset_with_no_rows_is_a_shape_error(self):
+        data = CategoricalDataset(binary_scheme(2), np.zeros((0, 2), dtype=int))
+        with pytest.raises(ShapeError, match=r"shape \(0, 2\), expected \(N, 2\)"):
+            notears_fit(data)
+
+    def test_raw_is_the_read_only_fitted_weight_matrix(self):
+        data = sample_from_network(reference_network(7), 300, 1)
+        result = notears_fit(data)
+        d = len(data.scheme)
+        assert result.raw.shape == (d, d) and result.raw.dtype == np.float64
+        assert not result.raw.flags.writeable
+        # A dataset is fitted exactly as its rows given as a raw matrix.
+        same = notears_fit(data.rows, scheme=data.scheme)
+        assert result.raw.tobytes() == same.raw.tobytes()
+
     def test_output_is_always_acyclic(self):
         rng = np.random.default_rng(5)
         for seed in range(3):
@@ -275,7 +300,7 @@ class TestFit:
             empty = notears_fit(
                 data, NotearsConfig(w_threshold=100), scheme=binary_scheme(2)
             )
-        largest = np.abs(empty.raw.w).max()
+        largest = np.abs(empty.raw).max()
         assert empty.dag.edges == frozenset() and 0.5 < largest < 100
         assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
             "causalkit.notears",
@@ -323,14 +348,3 @@ class TestCycleRepair:
             assert closure_weakest_cycle_edge(w) is None
         assert repairs > 4000
 
-
-class TestWeightedAdjacency:
-    def test_shape_checked(self):
-        with pytest.raises(ShapeError):
-            WeightedAdjacency(binary_scheme(3), np.zeros((2, 2)))
-
-    def test_nonfinite_rejected(self):
-        w = np.zeros((2, 2))
-        w[0, 1] = np.inf
-        with pytest.raises(ShapeError):
-            WeightedAdjacency(binary_scheme(2), w)

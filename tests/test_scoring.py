@@ -225,6 +225,16 @@ class TestTotals:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             bdeu_total(dag, data, alpha, variant)
 
+    @pytest.mark.parametrize("alpha", [True, np.bool_(True)])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_bool_alpha_is_rejected(self, variant, alpha):
+        dag, data = self._random_case(0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            bdeu_total(dag, data, alpha, variant)
+        family = {"paper": bdeu_family_paper, "canonical": bdeu_family_canonical}
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            family[variant](one_cell_counts(1, 1), alpha)
+
 
 class TestSparseWideTables:
     """Several parents of cardinality 3-4 over few rows: most parent
